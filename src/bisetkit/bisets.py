@@ -6,9 +6,12 @@ of subgroups L <= H x G, each class standing for the transitive biset
 
     (HxG)/L o (GxK)/M  =  sum over g in p2(L)\\G/p1(M) of (HxK)/(L * (g,1)M(g,1)^-1)
 
-where * is the composition-of-relations star product. compose_oracle builds
-the actual finite sets and decomposes orbits directly; it is the ground truth
-the formula is tested against.
+where * is the composition-of-relations star product. RB is the shifted
+functor RB_C at C = C1, and L <= H x G has the same member integers as
+L x 1 <= H x G x C1, so compose_transitive is dress.dress_compose_members at
+C1 and compose_oracle is dress.dress_oracle at C1. The oracle builds the
+actual finite sets and decomposes orbits directly; it is the ground truth the
+formula is tested against.
 """
 
 from __future__ import annotations
@@ -17,23 +20,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import InterfaceMismatch, MiddleMismatch, NotNormal, OrderBound
+from .dress import TripleSubgroup, dress_compose_members, dress_oracle
+from .errors import InterfaceMismatch, MiddleMismatch, NotNormal, NotSubgroup
 from .groups import (
     FiniteGroup,
     GroupHom,
     Subgroup,
     canonical_subgroup_rep,
-    double_cosets,
-    generating_sequence,
     is_subgroup_members,
-    left_cosets,
+    make_group,
     product_group,
     quotient_group,
     sub_as_group,
     subgroup,
 )
-
-ORACLE_POINT_BOUND = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -55,8 +55,10 @@ class BisetClass:
 def biset_class(left: FiniteGroup, right: FiniteGroup,
                 members: Sequence[int]) -> BisetClass:
     p = product_group(left, right)
-    assert is_subgroup_members(p, sorted(set(members)))
-    return BisetClass(left, right, canonical_subgroup_rep(p, members))
+    ms = sorted(set(members))
+    if not is_subgroup_members(p, ms):
+        raise NotSubgroup(f"{ms} is not a subgroup of {p.label}")
+    return BisetClass(left, right, canonical_subgroup_rep(p, ms))
 
 
 @dataclass
@@ -93,12 +95,6 @@ class BurnsideElement:
             return BurnsideElement(self.left, self.right, {})
         return BurnsideElement(self.left, self.right,
                                {k: c * v for k, v in self.coeffs.items()})
-
-    def classes(self) -> list[BisetClass]:
-        return [BisetClass(self.left, self.right, k) for k in sorted(self.coeffs)]
-
-    def support(self) -> list[tuple[int, ...]]:
-        return sorted(self.coeffs)
 
     def __repr__(self) -> str:
         terms = ", ".join(f"{v}*{list(k)}" for k, v in sorted(self.coeffs.items()))
@@ -297,36 +293,9 @@ def recompose(word: Sequence[BisetClass]) -> BurnsideElement:
 def compose_transitive(h: FiniteGroup, g: FiniteGroup, k: FiniteGroup,
                        l_members: Sequence[int],
                        m_members: Sequence[int]) -> BurnsideElement:
-    """Mackey composition of (HxG)/L with (GxK)/M."""
-    phg = product_group(h, g)
-    pgk = product_group(g, k)
-    phk = product_group(h, k)
-    # projections of L to G (second factor) and of M to G (first factor)
-    p2l = sorted({phg.decode(m)[1] for m in l_members})
-    p1m = sorted({pgk.decode(m)[0] for m in m_members})
-    reps = double_cosets(g, subgroup(g, p2l, check=False),
-                         subgroup(g, p1m, check=False))
-    # decode M once
-    m_pairs = [pgk.decode(m) for m in m_members]
-    l_pairs = [phg.decode(m) for m in l_members]
-    out: dict[tuple[int, ...], Fraction] = {}
-    tg, invg = g.table, g.inv
-    for x in reps:
-        xi = invg[x]
-        # conjugate M by (x, 1): (m1, m2) -> (x m1 x^-1, m2), index by first coord
-        by_first: dict[int, list[int]] = {}
-        for m1, m2 in m_pairs:
-            by_first.setdefault(tg[tg[x][m1]][xi], []).append(m2)
-        star = set()
-        for h1, g1 in l_pairs:
-            ks = by_first.get(g1)
-            if ks:
-                base = h1 * k.order
-                for m2 in ks:
-                    star.add(base + m2)
-        rep = canonical_subgroup_rep(phk, tuple(sorted(star)))
-        out[rep] = out.get(rep, Fraction(0)) + 1
-    return BurnsideElement(h, k, out)
+    """Mackey composition of (HxG)/L with (GxK)/M: the shifted rule at C1."""
+    return BurnsideElement(h, k, dress_compose_members(
+        h, g, k, _trivial_group(), l_members, m_members))
 
 
 def compose_bisets(x: BurnsideElement, y: BurnsideElement) -> BurnsideElement:
@@ -343,113 +312,17 @@ def compose_bisets(x: BurnsideElement, y: BurnsideElement) -> BurnsideElement:
     return total
 
 
-class _UnionFind:
-    __slots__ = ("parent",)
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-
-def _coset_tables(p: FiniteGroup, members: Sequence[int]):
-    """Cosets of L in P plus the action table act[a][coset] under left mult."""
-    cosets = left_cosets(p, members)
-    cosets.sort(key=lambda c: c[0])
-    coset_of = [0] * p.order
-    for i, cs in enumerate(cosets):
-        for x in cs:
-            coset_of[x] = i
-    return cosets, coset_of
-
-
-def compose_oracle(x: BisetClass, y: BisetClass,
-                   point_bound: int = ORACLE_POINT_BOUND) -> BurnsideElement:
+def compose_oracle(x: BisetClass, y: BisetClass) -> BurnsideElement:
     """Set-theoretic composition: build X x Y, quotient by the middle action,
     decompose the resulting (H x K)-set into transitive classes by stabilizers.
+    This is the shifted oracle at C1.
     """
     if x.right is not y.left:
         raise MiddleMismatch("oracle: middle mismatch")
-    h, g, k = x.left, x.right, y.right
-    phg, pgk, phk = x.product, y.product, product_group(h, k)
-    xs, x_of = _coset_tables(phg, x.rep)
-    ys, y_of = _coset_tables(pgk, y.rep)
-    nx, ny = len(xs), len(ys)
-    if nx * ny > point_bound:
-        raise OrderBound(f"oracle point set {nx * ny} exceeds bound")
-
-    # right G-action on X cosets: x.g = (1, g^-1) x ; left G-action on Y: g.y = (g, 1) y
-    xg = [[x_of[phg.table[phg.encode((0, g.inv[gg]))][cs[0]]] for cs in xs]
-          for gg in range(g.order)]
-    gy = [[y_of[pgk.table[pgk.encode((gg, 0))][cs[0]]] for cs in ys]
-          for gg in range(g.order)]
-    # H and K actions: h.x = (h,1) x on X ; y.k = (1, k) y on Y (for (h,k) action)
-    hx = [[x_of[phg.table[phg.encode((hh, 0))][cs[0]]] for cs in xs]
-          for hh in range(h.order)]
-    yk = [[y_of[pgk.table[pgk.encode((0, kk))][cs[0]]] for cs in ys]
-          for kk in range(k.order)]
-
-    uf = _UnionFind(nx * ny)
-    mid_gens = generating_sequence(g) or ()
-    for gg in mid_gens:
-        xrow = xg[gg]
-        yrow = gy[g.inv[gg]]
-        for i in range(nx):
-            xi = xrow[i]
-            base, nbase = i * ny, xi * ny
-            for j in range(ny):
-                uf.union(base + j, nbase + yrow[j])
-
-    # canonical class ids
-    class_of: dict[int, int] = {}
-    classes: list[int] = []
-    for pt in range(nx * ny):
-        r = uf.find(pt)
-        if r not in class_of:
-            class_of[r] = len(classes)
-            classes.append(r)
-
-    def act(hh: int, kk: int, cls_id: int) -> int:
-        pt = classes[cls_id]
-        i, j = divmod(pt, ny)
-        return class_of[uf.find(hx[hh][i] * ny + yk[kk][j])]
-
-    ncls = len(classes)
-    seen = [False] * ncls
-    out: dict[tuple[int, ...], Fraction] = {}
-    hk_elems = [(hh, kk) for hh in range(h.order) for kk in range(k.order)]
-    gens_hk = [(hh, 0) for hh in generating_sequence(h)] + \
-              [(0, kk) for kk in generating_sequence(k)]
-    for c0 in range(ncls):
-        if seen[c0]:
-            continue
-        orbit = {c0}
-        frontier = [c0]
-        while frontier:
-            c = frontier.pop()
-            for hh, kk in gens_hk:
-                c2 = act(hh, kk, c)
-                if c2 not in orbit:
-                    orbit.add(c2)
-                    frontier.append(c2)
-        for c in orbit:
-            seen[c] = True
-        stab = tuple(sorted(phk.encode((hh, kk)) for hh, kk in hk_elems
-                            if act(hh, kk, c0) == c0))
-        assert len(stab) * len(orbit) == h.order * k.order
-        rep = canonical_subgroup_rep(phk, stab)
-        out[rep] = out.get(rep, Fraction(0)) + 1
-    return BurnsideElement(h, k, out)
+    one = _trivial_group()
+    got = dress_oracle(TripleSubgroup(x.left, x.right, one, x.rep),
+                       TripleSubgroup(y.left, y.right, one, y.rep))
+    return BurnsideElement(x.left, y.right, got.coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -509,5 +382,4 @@ def hat_right(x: BurnsideElement) -> BurnsideElement:
 
 
 def _trivial_group() -> FiniteGroup:
-    from .groups import make_group
     return make_group("cyclic", 1)

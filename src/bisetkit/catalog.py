@@ -8,10 +8,8 @@ identical FiniteGroup objects.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable
 
 from .errors import OutOfCatalog
 from .groups import FiniteGroup, make_group, product_group
@@ -77,20 +75,17 @@ def entries() -> list[CatalogEntry]:
     return list(_ENTRIES)
 
 
-def groups_of_order(n: int, extra: Optional[list[CatalogEntry]] = None) -> list[FiniteGroup]:
+def groups_of_order(n: int) -> list[FiniteGroup]:
     """One representative per isomorphism class of order n, deterministic order."""
     if n < 1 or n > CATALOG_MAX_ORDER:
         raise OutOfCatalog(f"order {n} outside the catalog range 1..{CATALOG_MAX_ORDER}")
-    out = [e.build() for e in _ENTRIES if e.order == n]
-    if extra:
-        out.extend(e.build() for e in extra if e.order == n)
-    return out
+    return [e.build() for e in _ENTRIES if e.order == n]
 
 
-def groups_up_to(n: int, extra: Optional[list[CatalogEntry]] = None) -> list[FiniteGroup]:
+def groups_up_to(n: int) -> list[FiniteGroup]:
     out = []
     for k in range(1, n + 1):
-        out.extend(groups_of_order(k, extra))
+        out.extend(groups_of_order(k))
     return out
 
 
@@ -100,25 +95,3 @@ def group_by_name(name: str) -> FiniteGroup:
         if e.name == name:
             return e.build()
     raise OutOfCatalog(f"no catalog group named {name!r}")
-
-
-def load_override(path: str | Path) -> list[CatalogEntry]:
-    """Read extra entries from a JSON file: [{"order": n, "name": s, "table": [[..]]}]."""
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if isinstance(doc, dict):
-        doc = [doc]
-    out = []
-    for item in doc:
-        order = int(item["order"])
-        name = str(item["name"])
-        table = tuple(tuple(int(x) for x in row) for row in item["table"])
-        if len(table) != order:
-            raise OutOfCatalog(f"override {name}: table size != order")
-
-        def builder(t=table, nm=name):
-            g = make_group("from_table", t)
-            g.label = nm
-            return g
-
-        out.append(CatalogEntry(order, name, builder))
-    return out

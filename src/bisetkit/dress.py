@@ -7,6 +7,11 @@ cosets of p23(E) \\ (L x C) / p13(D) with stabilizers E * shifted D, where
 
     E * D = {(g, k, c) : exists l with (g, l, c) in E and (l, k, c) in D}.
 
+RB is the case C = C1: L <= H x G and L x 1 <= H x G x C1 have the same
+member integers, so dress_compose_members and dress_oracle at C1 are the
+Mackey formula and the orbit oracle behind bisets.compose_transitive and
+bisets.compose_oracle.
+
 The module also hosts the factorization machinery: which classes factor
 through strictly smaller middle groups, the kernel-shape pruning that powers
 it, and the quaternion/dihedral counterexample for |C| = 4.
@@ -24,6 +29,8 @@ from .errors import (
     FoundBridge,
     NotCentral,
     NotAutomorphism,
+    NotSubgroup,
+    OracleInconsistent,
     OrderBound,
     PreconditionViolated,
     SearchBound,
@@ -109,7 +116,8 @@ def triple_subgroup(g: FiniteGroup, k: FiniteGroup, c: FiniteGroup,
                     members: Sequence[int]) -> TripleSubgroup:
     p = product_group(g, k, c)
     ms = tuple(sorted(set(members)))
-    assert is_subgroup_members(p, ms)
+    if not is_subgroup_members(p, ms):
+        raise NotSubgroup(f"{list(ms)} is not a subgroup of {p.label}")
     return TripleSubgroup(g, k, c, ms)
 
 
@@ -132,9 +140,6 @@ class DressElement:
         return (isinstance(other, DressElement) and self.g is other.g
                 and self.k is other.k and self.c is other.c
                 and self.coeffs == other.coeffs)
-
-    def support(self) -> list[tuple[int, ...]]:
-        return sorted(self.coeffs)
 
     def __repr__(self) -> str:
         terms = ", ".join(f"{v}*{list(kk)}" for kk, v in sorted(self.coeffs.items()))
@@ -184,22 +189,40 @@ def _star_members(g: FiniteGroup, l: FiniteGroup, k: FiniteGroup, c: FiniteGroup
 def dress_compose_members(g: FiniteGroup, l: FiniteGroup, k: FiniteGroup,
                           c: FiniteGroup, e_members: Sequence[int],
                           d_members: Sequence[int]) -> dict[tuple[int, ...], Fraction]:
-    """Transitive three-set Mackey rule; returns class rep -> multiplicity."""
+    """Transitive three-set Mackey rule; returns class rep -> multiplicity.
+
+    E and D are decoded once. For each double coset rep (l0, c0), D is
+    conjugated by (l0, 1, c0) through the L and C tables and bucketed by its
+    (l, c) pair, so E * D is one lookup per member of E. At C = C1 this is the
+    Mackey formula of RB: L <= H x G and L x 1 <= H x G x C1 have the same
+    member integers.
+    """
+    p_glc = product_group(g, l, c)
     p_lkc = product_group(l, k, c)
     p_gkc = product_group(g, k, c)
     p_lc = product_group(l, c)
-    e_triple = TripleSubgroup(g, l, c, tuple(e_members))
-    d_triple = TripleSubgroup(l, k, c, tuple(d_members))
-    p23e = subgroup(p_lc, e_triple.proj_pair(1, 2), check=False)
-    p13d = subgroup(p_lc, d_triple.proj_pair(0, 2), check=False)
+    co = c.order
+    kc = k.order * co
+    # row-major indices: (l, c) in L x C is l*|C| + c, (g, k, c) in G x K x C
+    # is g*|K||C| + k*|C| + c
+    e_trips = [p_glc.decode(m) for m in e_members]
+    d_trips = [p_lkc.decode(m) for m in d_members]
+    e_keys = [(ll * co + cc, gg * kc + cc) for gg, ll, cc in e_trips]
+    p23e = subgroup(p_lc, {lc for lc, _ in e_keys}, check=False)
+    p13d = subgroup(p_lc, {ll * co + cc for ll, _, cc in d_trips}, check=False)
+    tl, il, tc, ic = l.table, l.inv, c.table, c.inv
     out: dict[tuple[int, ...], Fraction] = {}
-    t, inv = p_lkc.table, p_lkc.inv
     for rep in double_cosets(p_lc, p23e, p13d):
-        l0, c0 = p_lc.decode(rep)
-        shift = p_lkc.encode((l0, 0, c0))
-        shift_inv = inv[shift]
-        conj_d = tuple(sorted(t[t[shift][m]][shift_inv] for m in d_members))
-        star = _star_members(g, l, k, c, e_members, conj_d)
+        l0, c0 = divmod(rep, co)
+        l0i, c0i = il[l0], ic[c0]
+        by_lc: dict[int, list[int]] = {}
+        for ll, kk, cc in d_trips:
+            key = tl[tl[l0][ll]][l0i] * co + tc[tc[c0][cc]][c0i]
+            by_lc.setdefault(key, []).append(kk * co)
+        star = set()
+        for lc, base in e_keys:
+            for kc_part in by_lc.get(lc, ()):
+                star.add(base + kc_part)
         crep = canonical_subgroup_rep(p_gkc, star)
         out[crep] = out.get(crep, Fraction(0)) + 1
     return out
@@ -243,13 +266,13 @@ class _UnionFind:
             self.parent[rb] = ra
 
 
-def dress_oracle(e: TripleSubgroup, d: TripleSubgroup,
-                 point_bound: int = ORACLE_POINT_BOUND) -> DressElement:
+def dress_oracle(e: TripleSubgroup, d: TripleSubgroup) -> DressElement:
     """Set-level composite with the diagonal C action, decomposed by orbits.
 
     Builds the cosets, quotients by the middle L-orbit relation, then splits
     the G x K x C action (g,k,c)[x, y] = [(g,1,c)x, (1,k,c)y] into transitive
-    pieces by computing stabilizers directly.
+    pieces by computing stabilizers directly. At C = C1 it is the orbit
+    oracle of RB composition.
     """
     if e.k is not d.g or e.c is not d.c:
         raise FactorMismatch("dress_oracle: factors do not chain")
@@ -263,7 +286,7 @@ def dress_oracle(e: TripleSubgroup, d: TripleSubgroup,
     ys = left_cosets(p_lkc, d.members)
     ys.sort(key=lambda cs: cs[0])
     nx, ny = len(xs), len(ys)
-    if nx * ny > point_bound:
+    if nx * ny > ORACLE_POINT_BOUND:
         raise OrderBound("dress oracle point bound exceeded")
     x_of = [0] * p_glc.order
     for i, cs in enumerate(xs):
@@ -338,7 +361,10 @@ def dress_oracle(e: TripleSubgroup, d: TripleSubgroup,
                 for cc in range(c.order):
                     if act(gg, kk, cc, c0) == c0:
                         stab.append(p_gkc.encode((gg, kk, cc)))
-        assert len(stab) * len(orbit) == p_gkc.order
+        if len(stab) * len(orbit) != p_gkc.order:
+            raise OracleInconsistent(
+                f"orbit of size {len(orbit)} with stabilizer of order "
+                f"{len(stab)} in a group of order {p_gkc.order}")
         rep = canonical_subgroup_rep(p_gkc, tuple(sorted(stab)))
         out[rep] = out.get(rep, Fraction(0)) + 1
     return DressElement(g, k, c, out)
@@ -458,64 +484,33 @@ def subgroups_with_full_first(x_grp: FiniteGroup, y_grp: FiniteGroup) -> list[tu
     return sorted(out, key=lambda m: (len(m), m))
 
 
-def _a_side_classes(g: FiniteGroup, k: FiniteGroup, c: FiniteGroup,
-                    p1_required: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Class reps of subgroups A <= G x K x C with p1(A) containing the target."""
-    p_gkc = product_group(g, k, c)
-    p_kc = product_group(k, c)
-    if len(p1_required) == g.order:
+def _side_classes(x: FiniteGroup, k: FiniteGroup, c: FiniteGroup, pos: int,
+                  required: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Class reps of subgroups of X x K x C (pos 0) or K x X x C (pos 1) whose
+    projection to the X factor at ``pos`` has at least len(required) members."""
+    factors = (x, k, c) if pos == 0 else (k, x, c)
+    p = product_group(*factors)
+    if len(required) == x.order:
+        p_kc = product_group(k, c)
+        p_xy = product_group(x, p_kc)
         reps = set()
-        for members in subgroups_with_full_first(g, p_kc):
-            p_gy = product_group(g, p_kc)
+        for members in subgroups_with_full_first(x, p_kc):
             trip = []
             for m in members:
-                x, s = p_gy.decode(m)
+                xx, s = p_xy.decode(m)
                 kk, cc = p_kc.decode(s)
-                trip.append(p_gkc.encode((x, kk, cc)))
-            reps.add(canonical_subgroup_rep(p_gkc, tuple(sorted(trip))))
+                trip.append(p.encode((xx, kk, cc) if pos == 0 else (kk, xx, cc)))
+            reps.add(canonical_subgroup_rep(p, trip))
         return sorted(reps)
-    if p_gkc.order > GENERAL_SCAN_BOUND:
+    if p.order > GENERAL_SCAN_BOUND:
         raise SearchBound(
-            f"unconstrained scan of {p_gkc.label} (order {p_gkc.order}) refused")
-    req = len(p1_required)
-    out = []
-    for cls in subgroup_classes(p_gkc):
-        t = TripleSubgroup(g, k, c, cls.representative.members)
-        if len(t.proj(0)) >= req:
-            out.append(cls.representative.members)
-    return out
+            f"unconstrained scan of {p.label} (order {p.order}) refused")
+    return [cls.representative.members for cls in subgroup_classes(p)
+            if len(TripleSubgroup(*factors, cls.representative.members).proj(pos))
+            >= len(required)]
 
 
-def _b_side_classes(k: FiniteGroup, h: FiniteGroup, c: FiniteGroup,
-                    p2_required: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Class reps of subgroups B <= K x H x C with p2(B) containing the target."""
-    p_khc = product_group(k, h, c)
-    p_kc = product_group(k, c)
-    if len(p2_required) == h.order:
-        reps = set()
-        for members in subgroups_with_full_first(h, p_kc):
-            p_hy = product_group(h, p_kc)
-            trip = []
-            for m in members:
-                x, s = p_hy.decode(m)
-                kk, cc = p_kc.decode(s)
-                trip.append(p_khc.encode((kk, x, cc)))
-            reps.add(canonical_subgroup_rep(p_khc, tuple(sorted(trip))))
-        return sorted(reps)
-    if p_khc.order > GENERAL_SCAN_BOUND:
-        raise SearchBound(
-            f"unconstrained scan of {p_khc.label} (order {p_khc.order}) refused")
-    req = len(p2_required)
-    out = []
-    for cls in subgroup_classes(p_khc):
-        t = TripleSubgroup(k, h, c, cls.representative.members)
-        if len(t.proj(1)) >= req:
-            out.append(cls.representative.members)
-    return out
-
-
-def is_star_decomposable(d: TripleSubgroup, order_bound: int,
-                         catalog_groups=None) -> Optional[dict]:
+def is_star_decomposable(d: TripleSubgroup, order_bound: int) -> Optional[dict]:
     """Search for K, A <= G x K x C, B <= K x H x C and a shift with
     D conjugate to A * shifted B; None if no witness exists.
 
@@ -527,9 +522,6 @@ def is_star_decomposable(d: TripleSubgroup, order_bound: int,
     g, h, c = d.g, d.k, d.c
     p_ghc = d.triple
     d_canon = d.canonical_rep()
-    if catalog_groups is None:
-        def catalog_groups(n):
-            return _catalog.groups_of_order(n)
 
     viable_orders = list(range(1, order_bound + 1))
     prune_info = None
@@ -546,9 +538,9 @@ def is_star_decomposable(d: TripleSubgroup, order_bound: int,
             return None
 
     for o in viable_orders:
-        for kgrp in catalog_groups(o):
-            a_list = _a_side_classes(g, kgrp, c, d.proj(0))
-            b_list = _b_side_classes(kgrp, h, c, d.proj(1))
+        for kgrp in _catalog.groups_of_order(o):
+            a_list = _side_classes(g, kgrp, c, 0, d.proj(0))
+            b_list = _side_classes(h, kgrp, c, 1, d.proj(1))
             p_kc = product_group(kgrp, c)
             p_khc = product_group(kgrp, h, c)
             t, inv = p_khc.table, p_khc.inv

@@ -71,3 +71,7 @@ class SearchBound(BisetkitError):
 
 class FoundBridge(BisetkitError):
     """no_bridge_check found a subgroup contradicting the prime-order corollary."""
+
+
+class OracleInconsistent(BisetkitError):
+    """An orbit oracle found an orbit whose size and stabilizer disagree."""

@@ -19,11 +19,7 @@ from math import gcd
 from typing import Optional, Sequence
 
 from . import catalog as _catalog
-from .bisets import (
-    all_transitive_classes,
-    compose_transitive,
-    identity_biset,
-)
+from .bisets import compose_transitive
 from .characters import (
     CharacterVector,
     character_table,
@@ -32,6 +28,7 @@ from .characters import (
     rq_cyclic_basis,
 )
 from .cyclotomic import Cyc
+from .dress import dress_compose_members, dress_identity, triple_classes
 from .errors import CatalogInsufficient, NotDivisor, OrderBound
 from .groups import (
     FiniteGroup,
@@ -39,6 +36,7 @@ from .groups import (
     canonical_subgroup_rep,
     class_index_map,
     conjugacy_classes,
+    make_group,
     product_group,
 )
 from .linalg import RowSpace
@@ -48,58 +46,10 @@ from .linalg import RowSpace
 # Backends
 # ---------------------------------------------------------------------------
 
-class RBBackend:
-    """A(H x G) = RB(H, G); coordinates are coefficients over subgroup classes."""
-
-    name = "rb"
-    scalar_one = Fraction(1)
-
-    def basis_labels(self, h: FiniteGroup, g: FiniteGroup) -> list[tuple[int, ...]]:
-        return [c.rep for c in all_transitive_classes(h, g)]
-
-    def coord_dim(self, h: FiniteGroup, g: FiniteGroup) -> int:
-        return len(self.basis_labels(h, g))
-
-    def basis_vector(self, h: FiniteGroup, g: FiniteGroup, i: int) -> list[Fraction]:
-        n = self.coord_dim(h, g)
-        v = [Fraction(0)] * n
-        v[i] = Fraction(1)
-        return v
-
-    def _index(self, h, g) -> dict:
-        labels = self.basis_labels(h, g)
-        return {rep: i for i, rep in enumerate(labels)}
-
-    def compose(self, h, g, k, beta: Sequence[Fraction], alpha: Sequence[Fraction]) -> list[Fraction]:
-        labels_hg = self.basis_labels(h, g)
-        labels_gk = self.basis_labels(g, k)
-        index_hk = self._index(h, k)
-        out = [Fraction(0)] * len(index_hk)
-        for i, bi in enumerate(beta):
-            if not bi:
-                continue
-            for j, aj in enumerate(alpha):
-                if not aj:
-                    continue
-                piece = compose_transitive(h, g, k, labels_hg[i], labels_gk[j])
-                c = bi * aj
-                for rep, coeff in piece.coeffs.items():
-                    out[index_hk[rep]] += c * coeff
-        return out
-
-    def identity(self, g: FiniteGroup) -> list[Fraction]:
-        index = self._index(g, g)
-        v = [Fraction(0)] * len(index)
-        for rep, coeff in identity_biset(g).coeffs.items():
-            v[index[rep]] = coeff
-        return v
-
-
 class RQBackend:
     """kR_Q in the Artin basis; coordinates are rational class-function values."""
 
     name = "rq"
-    scalar_one = Fraction(1)
 
     def basis_labels(self, h, g) -> list[tuple[int, ...]]:
         p = product_group(h, g)
@@ -130,7 +80,6 @@ class CRCBackend:
     """Complex representations; basis = irreducible characters of the product."""
 
     name = "crc"
-    scalar_one = Cyc.one()
 
     def basis_labels(self, h, g) -> list[str]:
         p = product_group(h, g)
@@ -158,13 +107,11 @@ class RBCBackend:
     """The Yoneda-Dress shift RB_C: A(H x G) = RB(H x G x C), composed with x^d."""
 
     name = "rbc"
-    scalar_one = Fraction(1)
 
     def __init__(self, c: FiniteGroup):
         self.c = c
 
     def basis_labels(self, h, g) -> list[tuple[int, ...]]:
-        from .dress import triple_classes
         return [t.members for t in triple_classes(h, g, self.c)]
 
     def coord_dim(self, h, g) -> int:
@@ -176,8 +123,11 @@ class RBCBackend:
         v[i] = Fraction(1)
         return v
 
+    def compose_pair(self, h, g, k, lrep, mrep) -> dict[tuple[int, ...], Fraction]:
+        """The product of two basis classes, as class rep -> multiplicity."""
+        return dress_compose_members(h, g, k, self.c, lrep, mrep)
+
     def compose(self, h, g, k, beta, alpha) -> list[Fraction]:
-        from .dress import dress_compose_members
         labels_hg = self.basis_labels(h, g)
         labels_gk = self.basis_labels(g, k)
         index = {rep: i for i, rep in enumerate(self.basis_labels(h, k))}
@@ -188,21 +138,32 @@ class RBCBackend:
             for j, aj in enumerate(alpha):
                 if not aj:
                     continue
-                piece = dress_compose_members(h, g, k, self.c,
-                                              labels_hg[i], labels_gk[j])
+                piece = self.compose_pair(h, g, k, labels_hg[i], labels_gk[j])
                 c = bi * aj
                 for rep, coeff in piece.items():
                     out[index[rep]] += c * coeff
         return out
 
     def identity(self, g) -> list[Fraction]:
-        from .dress import dress_identity
         index = {rep: i for i, rep in enumerate(self.basis_labels(g, g))}
         v = [Fraction(0)] * len(index)
         ident = dress_identity(g, self.c)
         for rep, coeff in ident.coeffs.items():
             v[index[rep]] = coeff
         return v
+
+
+class RBBackend(RBCBackend):
+    """A(H x G) = RB(H, G), the shift RB_C at C = C1: coordinates are
+    coefficients over subgroup classes of H x G."""
+
+    name = "rb"
+
+    def __init__(self):
+        super().__init__(make_group("cyclic", 1))
+
+    def compose_pair(self, h, g, k, lrep, mrep) -> dict[tuple[int, ...], Fraction]:
+        return compose_transitive(h, g, k, lrep, mrep).coeffs
 
 
 def get_backend(name: str, c: Optional[FiniteGroup] = None):
@@ -375,9 +336,6 @@ class UnitCharacter:
         d = dict(self.values)
         return all(d[t % self.modulus] == 0 for t in subset)
 
-    def signature(self) -> tuple:
-        return (self.modulus, self.values)
-
 
 def unit_characters(m: int) -> list[UnitCharacter]:
     """All phi(m) linear characters of the unit group, deterministic order."""
@@ -510,13 +468,6 @@ class Seed:
     m: int
     character: UnitCharacter
 
-    @property
-    def group_label(self) -> str:
-        return f"C{self.m}"
-
-    def key(self) -> tuple:
-        return (self.m, self.character.signature())
-
 
 def seeds_kRQ(max_m: int, verify_ideal_up_to: int = 0) -> list[Seed]:
     """One seed per primitive character of (Z/mZ)^x for each m <= max_m.
@@ -527,7 +478,6 @@ def seeds_kRQ(max_m: int, verify_ideal_up_to: int = 0) -> list[Seed]:
     if max_m > 64:
         raise OrderBound("seeds_kRQ capped at m <= 64")
     out = []
-    from .groups import make_group
     for m in range(1, max_m + 1):
         prims = primitive_characters(m)
         if 0 < m <= verify_ideal_up_to:
@@ -537,18 +487,6 @@ def seeds_kRQ(max_m: int, verify_ideal_up_to: int = 0) -> list[Seed]:
         for ch in prims:
             out.append(Seed(m, ch))
     return out
-
-
-def transport_seed(seed: Seed, phi_unit: int) -> Seed:
-    """Transport along the unit-group identification induced by an isomorphism
-    C_m -> C_m sending the generator to its phi_unit-th power. The unit group
-    is abelian, so conjugation is trivial and the character is unchanged."""
-    m = seed.m
-    assert gcd(phi_unit, m) == 1 if m > 1 else True
-    ch = seed.character
-    units = units_mod(m)
-    vals = tuple(sorted((u, ch.value_exponent(u)) for u in units))
-    return Seed(m, UnitCharacter(m, ch.exponent, vals))
 
 
 # ---------------------------------------------------------------------------

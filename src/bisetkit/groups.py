@@ -37,18 +37,13 @@ class FiniteGroup:
     def __init__(self, label: str, table: Sequence[Sequence[int]],
                  factors: Optional[tuple["FiniteGroup", ...]] = None):
         self.label = label
-        self.table = tuple(tuple(row) for row in table)
+        # a tuple table is immutable already, so groups can share one
+        self.table = table if isinstance(table, tuple) else tuple(map(tuple, table))
         self.order = len(self.table)
-        inv = [None] * self.order
-        for a in range(self.order):
-            row = self.table[a]
-            for b in range(self.order):
-                if row[b] == 0:
-                    inv[a] = b
-                    break
-        if any(x is None for x in inv):
-            raise InvalidTable(f"{label}: some element has no inverse")
-        self.inv = tuple(inv)
+        try:
+            self.inv = tuple(row.index(0) for row in self.table)
+        except ValueError:
+            raise InvalidTable(f"{label}: some element has no inverse") from None
         self.factors = factors
         if factors is not None:
             strides = []
@@ -328,14 +323,25 @@ _PRODUCT_MEMO: dict = {}
 
 
 def product_group(*factors: FiniteGroup) -> FiniteGroup:
-    """Direct product with row-major index maps; memoized on factor identity."""
+    """Direct product with row-major index maps; memoized on factor identity.
+
+    An order-1 factor changes neither the row-major indices nor the table, so
+    such a product shares the table of the product of its other factors (and
+    with it the fingerprint) while still decoding to one component per factor.
+    """
     assert factors
     if len(factors) == 1:
         return factors[0]
-    key = tuple(id(f) for f in factors)
-    got = _PRODUCT_MEMO.get(key)
+    got = _PRODUCT_MEMO.get(factors)
     if got is not None:
         return got
+    label = "x".join(f.label for f in factors)
+    rest = [f for f in factors if f.order > 1]
+    if len(rest) < len(factors):
+        base = product_group(*rest) if rest else factors[0]
+        g = FiniteGroup(label, base.table, factors=factors)
+        _PRODUCT_MEMO[factors] = g
+        return g
     orders = [f.order for f in factors]
     n = 1
     for o in orders:
@@ -367,9 +373,8 @@ def product_group(*factors: FiniteGroup) -> FiniteGroup:
                 idx += t[x][y] * s
             row.append(idx)
         table.append(row)
-    label = "x".join(f.label for f in factors)
-    g = FiniteGroup(label, table, factors=tuple(factors))
-    _PRODUCT_MEMO[key] = g
+    g = FiniteGroup(label, table, factors=factors)
+    _PRODUCT_MEMO[factors] = g
     return g
 
 
@@ -777,9 +782,6 @@ class GroupHom:
 
     def kernel_members(self) -> tuple[int, ...]:
         return tuple(a for a in range(self.domain.order) if self.images[a] == 0)
-
-    def image_members(self) -> tuple[int, ...]:
-        return tuple(sorted(set(self.images)))
 
     def inverse(self) -> "GroupHom":
         assert self.is_bijective()

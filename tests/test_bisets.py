@@ -1,9 +1,15 @@
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bisetkit
 from bisetkit.bisets import (
     all_transitive_classes,
     biset_class,
@@ -120,6 +126,30 @@ def test_identity_idempotent():
         assert compose_bisets(iden, iden) == iden
 
 
+def test_subgroup_checks_survive_optimize(tmp_path):
+    # python -O strips assert statements; the subgroup checks must not be ones
+    code = textwrap.dedent("""
+        from bisetkit.bisets import biset_class
+        from bisetkit.dress import triple_subgroup
+        from bisetkit.errors import NotSubgroup
+        from bisetkit.groups import make_group
+        c2 = make_group("cyclic", 2)
+        for check in (lambda: biset_class(c2, c2, [0, 1, 2]),
+                      lambda: triple_subgroup(c2, c2, c2, [0, 1, 2])):
+            try:
+                check()
+            except NotSubgroup:
+                continue
+            raise SystemExit("no NotSubgroup under -O")
+    """)
+    src = str(Path(bisetkit.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONOPTIMIZE"}
+    env["PYTHONPATH"] = src
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
 def test_middle_mismatch():
     x = element_of(biset_class(C2, C4, [0]))
     y = element_of(biset_class(C3, C2, [0]))
@@ -202,7 +232,8 @@ def test_products_of_transitive_classes_have_nonneg_integer_coeffs():
 
 
 def test_bouc_identity_class():
-    cls = identity_biset(S3).classes()[0]
+    (rep,) = identity_biset(S3).coeffs
+    cls = biset_class(S3, S3, rep)
     word = bouc_decompose(cls)
     gd = goursat_data(S3, S3, cls.rep)
     assert gd.c.members == (0,) and gd.a.members == (0,)

@@ -1,5 +1,3 @@
-import json
-
 import pytest
 
 from bisetkit.catalog import (
@@ -8,7 +6,6 @@ from bisetkit.catalog import (
     group_by_name,
     groups_of_order,
     groups_up_to,
-    load_override,
 )
 from bisetkit.errors import OutOfCatalog
 from bisetkit.groups import is_isomorphic, make_group, validate_table
@@ -57,21 +54,6 @@ def test_order8_labels():
 
 def test_builders_are_memoized():
     assert group_by_name("Q8") is group_by_name("Q8")
-
-
-def test_override_file(tmp_path):
-    c3 = make_group("cyclic", 3)
-    path = tmp_path / "extra.json"
-    path.write_text(json.dumps([{
-        "order": 3, "name": "C3-alt",
-        "table": [list(r) for r in c3.table],
-    }]))
-    extra = load_override(path)
-    assert len(extra) == 1
-    gs = groups_of_order(3, extra=extra)
-    assert len(gs) == 2
-    assert gs[1].label == "C3-alt"
-    assert is_isomorphic(gs[0], gs[1]) is not None
 
 
 def test_entry_listing():

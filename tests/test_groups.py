@@ -118,6 +118,23 @@ def test_direct_product_index_maps():
             assert p.decode(a * 2 + b) == (a, b)
 
 
+def test_order_one_factor_shares_the_table():
+    c1 = make_group("cyclic", 1)
+    c3 = make_group("cyclic", 3)
+    s3 = make_group("symmetric3")
+    padded = product_group(c3, c1, s3)
+    plain = product_group(c3, s3)
+    assert padded is not plain
+    assert padded.table is plain.table
+    assert padded.fingerprint == plain.fingerprint
+    for a in range(3):
+        for b in range(6):
+            x = plain.encode((a, b))
+            assert padded.decode(x) == (a, 0, b)
+            assert padded.encode((a, 0, b)) == x
+    assert product_group(c1, c1).table == c1.table
+
+
 def test_quotient_by_whole_group():
     s3 = make_group("symmetric3")
     q, proj = quotient_group(s3, subgroup(s3, range(6)))

@@ -3,8 +3,10 @@
 Covers permutation characters, the linearization of Burnside elements,
 Artin-induction coefficients on abelian groups, composition of characters of
 bimodules over a middle group, and full complex character tables of small
-groups. Values are CyclotomicNumbers; rational-valued characters expose plain
-Fraction vectors for the linear algebra paths.
+groups. A class function holds CyclotomicNumbers or plain Fractions:
+characters are built over Q(zeta_e), rational-valued ones expose Fraction
+vectors for the linear algebra paths, and the rq backend composes those
+Fraction vectors as they are.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from typing import Sequence
 
 from .cyclotomic import Cyc
 from .errors import (
+    CharacterTableError,
     MiddleMismatch,
     NonRationalValues,
     NotAbelian,
@@ -24,11 +27,12 @@ from .groups import (
     FiniteGroup,
     Subgroup,
     SubgroupClass,
+    all_homs,
     class_index_map,
     closure,
     conjugacy_classes,
     derived_subgroup,
-    generating_sequence,
+    make_group,
     mobius_int,
     product_group,
     quotient_group,
@@ -43,10 +47,12 @@ CHARACTER_TABLE_BOUND = 64
 
 @dataclass
 class CharacterVector:
-    """A class function on ``group``; one value per conjugacy class."""
+    """A class function on ``group``; one value per conjugacy class.
+
+    Values are Cyc, or Fraction for the rational class functions of rq."""
 
     group: FiniteGroup
-    values: tuple[Cyc, ...]
+    values: tuple
 
     def __post_init__(self):
         assert len(self.values) == len(conjugacy_classes(self.group))
@@ -70,12 +76,6 @@ class CharacterVector:
 
     def scale(self, c) -> "CharacterVector":
         return CharacterVector(self.group, tuple(v * c for v in self.values))
-
-    def tensor(self, other: "CharacterVector") -> "CharacterVector":
-        """Pointwise product (character of the tensor product over the group)."""
-        assert self.group is other.group
-        return CharacterVector(self.group,
-                               tuple(a * b for a, b in zip(self.values, other.values)))
 
     def is_zero(self) -> bool:
         return not any(self.values)
@@ -241,7 +241,8 @@ def compose_characters(tau_m: CharacterVector, tau_n: CharacterVector,
 
         tau(h, k) = (1/|G|) sum over g of tau_m(h, g) tau_n(g, k).
 
-    tau_m lives on H x G and tau_n on G x K; the result lives on H x K.
+    tau_m lives on H x G and tau_n on G x K; the result lives on H x K and
+    holds the scalar type of the inputs (Cyc, or Fraction for rq).
     """
     phg = product_group(h, g)
     pgk = product_group(g, k)
@@ -252,9 +253,10 @@ def compose_characters(tau_m: CharacterVector, tau_n: CharacterVector,
     idx_n = class_index_map(pgk)
     vals = []
     inv_g = Fraction(1, g.order)
+    zero = type(tau_m.values[0])()
     for cls in conjugacy_classes(phk):
         hh, kk = phk.decode(cls[0])
-        acc = Cyc.zero()
+        acc = zero
         for gg in range(g.order):
             vm = tau_m.values[idx_m[phg.encode((hh, gg))]]
             if vm:
@@ -270,51 +272,15 @@ def compose_characters(tau_m: CharacterVector, tau_n: CharacterVector,
 # ---------------------------------------------------------------------------
 
 def _abelian_linear_characters(g: FiniteGroup) -> list[CharacterVector]:
-    """All |G| linear characters of an abelian group via generator images."""
-    assert g.is_abelian
+    """All |G| linear characters of an abelian group: the homomorphisms
+    G -> C_e with e = exp G, element j of C_e read as zeta_e^j."""
     e = g.exponent
-    gens = generating_sequence(g)
-    if not gens:
-        return [CharacterVector(g, (Cyc.one(),))]
-    import itertools
-    from .groups import _word_plan  # shared word-derivation machinery
-    plan = _word_plan(g, gens)
-    # image of gen s is an exponent a with a*ord(s) = 0 mod e
-    cand = []
-    for s in gens:
-        o = g.element_order(s)
-        step = e // o
-        cand.append([j * step for j in range(o)])
-    found = []
-    seen = set()
-    cyc_e = [Cyc.root_of_unity(e, j) for j in range(e)]
-    for images in itertools.product(*cand):
-        exps = [0] * g.order
-        for j, s in enumerate(gens):
-            exps[s] = images[j]
-        ok = True
-        for y, x, j in plan:
-            exps[y] = (exps[x] + images[j]) % e
-        # verify multiplicativity (generator tuples may be dependent)
-        t = g.table
-        for a in range(g.order):
-            ea = exps[a]
-            row = t[a]
-            for b in range(g.order):
-                if (ea + exps[b]) % e != exps[row[b]]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            continue
-        key = tuple(exps)
-        if key in seen:
-            continue
-        seen.add(key)
-        vals = tuple(cyc_e[exps[cls[0]]] for cls in conjugacy_classes(g))
-        found.append(CharacterVector(g, vals))
-    assert len(found) == g.order, f"dual group of {g.label}: got {len(found)}"
+    roots = [Cyc.root_of_unity(e, j) for j in range(e)]
+    classes = conjugacy_classes(g)
+    found = [CharacterVector(g, tuple(roots[hom(cls[0])] for cls in classes))
+             for hom in all_homs(g, make_group("cyclic", e))]
+    if len(found) != g.order:
+        raise CharacterTableError(f"dual group of {g.label}: got {len(found)}")
     return found
 
 
@@ -362,10 +328,12 @@ def character_table(g: FiniteGroup, bound: int = CHARACTER_TABLE_BOUND) -> list[
     """The irreducible complex characters, exactly.
 
     Linear characters come from the abelianization; the remaining irreducibles
-    are peeled off inductions of linear characters of subgroups (enough for
-    every monomial group, which covers this toolkit's range), topped off by
-    tensor products of found irreducibles if anything is still missing.
-    Verified on exit: count, orthogonality, degree equation.
+    are peeled off inductions of linear characters of subgroups. Every group
+    this toolkit builds is a direct product of cyclic, dihedral and catalog
+    groups, all monomial, and in a monomial group every irreducible is induced
+    from a linear character of a subgroup, so the peel finds them all.
+    Verified on exit (count, degree equation, orthogonality); a failure
+    raises CharacterTableError.
     """
     if g.order > bound:
         raise OrderBound(f"character table beyond bound: |{g.label}| = {g.order}")
@@ -411,24 +379,17 @@ def character_table(g: FiniteGroup, bound: int = CHARACTER_TABLE_BOUND) -> list[
             consider(psi)
             if len(irreducibles) == r:
                 break
-        guard = 0
-        while len(irreducibles) < r and guard < 4:
-            guard += 1
-            fresh = [a.tensor(b) for a in list(irreducibles)
-                     for b in list(irreducibles) if a.degree() > 1 or b.degree() > 1]
-            for psi in fresh + [a.tensor(b) for a in irreducibles for b in pool]:
-                consider(psi)
-                if len(irreducibles) == r:
-                    break
-    assert len(irreducibles) == r, \
-        f"character table of {g.label}: found {len(irreducibles)} of {r}"
-    total = sum(chi.degree() ** 2 for chi in irreducibles)
-    assert total == g.order, f"degree equation fails for {g.label}"
+    if len(irreducibles) != r:
+        raise CharacterTableError(
+            f"character table of {g.label}: found {len(irreducibles)} of {r}")
+    if sum(chi.degree() ** 2 for chi in irreducibles) != g.order:
+        raise CharacterTableError(f"degree equation fails for {g.label}")
     for i, a in enumerate(irreducibles):
         for j, b in enumerate(irreducibles):
             expect = Cyc.one() if i == j else Cyc.zero()
-            assert inner_product(a, b) == expect, \
-                f"orthogonality fails for {g.label} at ({i},{j})"
+            if inner_product(a, b) != expect:
+                raise CharacterTableError(
+                    f"orthogonality fails for {g.label} at ({i},{j})")
     irreducibles.sort(key=lambda c: _char_sort_key(c, e))
     g._derived["char_table"] = irreducibles
     return irreducibles

@@ -164,9 +164,6 @@ def cmd_compose(args) -> int:
         raise BisetkitError(
             f"middle group {mid.label} does not match elements "
             f"({x.right.label} / {y.left.label})")
-    # re-anchor both elements on shared group objects
-    x = _element_from_json(_element_to_json(x))
-    y = _element_from_json(_element_to_json(y))
     result = compose_bisets(x, y)
     _emit(args, _element_to_json(result), repr(result))
     return 0

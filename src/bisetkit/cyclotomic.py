@@ -26,22 +26,9 @@ def cyclotomic_polynomial(e: int) -> tuple[Fraction, ...]:
     num = [Fraction(-1)] + [Fraction(0)] * (e - 1) + [Fraction(1)]
     for d in range(1, e):
         if e % d == 0:
-            num = _poly_div_exact(num, list(cyclotomic_polynomial(d)))
+            num, rem = _poly_divmod(num, list(cyclotomic_polynomial(d)))
+            assert not any(rem), "inexact polynomial division"
     return tuple(num)
-
-
-def _poly_div_exact(num: list[Fraction], den: list[Fraction]) -> list[Fraction]:
-    num = list(num)
-    out = [Fraction(0)] * (len(num) - len(den) + 1)
-    dlead = den[-1]
-    for k in range(len(out) - 1, -1, -1):
-        c = num[k + len(den) - 1] / dlead
-        out[k] = c
-        if c:
-            for j, dj in enumerate(den):
-                num[k + j] -= c * dj
-    assert all(x == 0 for x in num[:len(den) - 1]), "inexact polynomial division"
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -70,11 +57,13 @@ def _power_reductions(e: int) -> tuple[tuple[Fraction, ...], ...]:
 
 
 class CyclotomicNumber:
-    """An element of Q(zeta_e) with exact rational power-basis coordinates."""
+    """An element of Q(zeta_e) with exact rational power-basis coordinates.
+
+    ``CyclotomicNumber()`` is zero, as ``Fraction()`` is."""
 
     __slots__ = ("conductor", "coords")
 
-    def __init__(self, conductor: int, coords):
+    def __init__(self, conductor: int = 1, coords=(0,)):
         self.conductor = conductor
         self.coords = tuple(Fraction(c) for c in coords)
         assert len(self.coords) == _phi_degree(conductor)
@@ -109,17 +98,7 @@ class CyclotomicNumber:
         if e == f:
             return self
         assert f % e == 0
-        step = f // e
-        red = _power_reductions(f)
-        d = _phi_degree(f)
-        out = [Fraction(0)] * d
-        for i, c in enumerate(self.coords):
-            if c:
-                row = red[i * step]
-                for j in range(d):
-                    if row[j]:
-                        out[j] += c * row[j]
-        return CyclotomicNumber(f, out)
+        return _power_map(self.coords, f, f // e)
 
     def _pair(self, other: "CyclotomicNumber"):
         e = _lcm(self.conductor, other.conductor)
@@ -164,16 +143,7 @@ class CyclotomicNumber:
                 for j, cj in enumerate(bc):
                     if cj:
                         conv[i + j] += ci * cj
-        red = _power_reductions(e)
-        out = list(conv[:d])
-        for k in range(d, 2 * d - 1):
-            ck = conv[k]
-            if ck:
-                row = red[k]
-                for j in range(d):
-                    if row[j]:
-                        out[j] += ck * row[j]
-        return CyclotomicNumber(e, out)
+        return _reduce(e, conv)
 
     __rmul__ = __mul__
 
@@ -192,17 +162,7 @@ class CyclotomicNumber:
                 a.pop()
             if len(a) == 1:
                 inv_c = 1 / a[0]
-                d = _phi_degree(e)
-                out = [c * inv_c for c in s0] + [Fraction(0)] * d
-                red = _power_reductions(e)
-                res = out[:d]
-                for k in range(d, min(len(out), 2 * e)):
-                    ck = out[k]
-                    if ck:
-                        row = red[k]
-                        for j in range(d):
-                            res[j] += ck * row[j]
-                return CyclotomicNumber(e, res[:d])
+                return _reduce(e, [c * inv_c for c in s0])
             q, r = _poly_divmod(b, a)
             # s_next = s1 - q*s0
             qs0 = _poly_mul(q, s0)
@@ -228,16 +188,7 @@ class CyclotomicNumber:
         e = self.conductor
         if e <= 2:
             return self
-        red = _power_reductions(e)
-        d = _phi_degree(e)
-        out = [Fraction(0)] * d
-        for i, c in enumerate(self.coords):
-            if c:
-                row = red[(e - i) % e]
-                for j in range(d):
-                    if row[j]:
-                        out[j] += c * row[j]
-        return CyclotomicNumber(e, out)
+        return _power_map(self.coords, e, e - 1)
 
     # -- predicates ----------------------------------------------------
 
@@ -278,7 +229,37 @@ def _coerce(x) -> CyclotomicNumber:
     return CyclotomicNumber.from_rational(x)
 
 
+def _power_map(coords, f: int, k: int) -> CyclotomicNumber:
+    """sum_i coords[i] zeta_f^(i k) over the power basis of Q(zeta_f)."""
+    red = _power_reductions(f)
+    d = _phi_degree(f)
+    out = [Fraction(0)] * d
+    for i, c in enumerate(coords):
+        if c:
+            row = red[i * k % f]
+            for j in range(d):
+                if row[j]:
+                    out[j] += c * row[j]
+    return CyclotomicNumber(f, out)
+
+
+def _reduce(e: int, poly: list[Fraction]) -> CyclotomicNumber:
+    """sum_k poly[k] z^k reduced modulo Phi_e; needs len(poly) <= 2e + 1."""
+    red = _power_reductions(e)
+    d = _phi_degree(e)
+    out = poly[:d] + [Fraction(0)] * (d - len(poly))
+    for k in range(d, len(poly)):
+        ck = poly[k]
+        if ck:
+            row = red[k]
+            for j in range(d):
+                if row[j]:
+                    out[j] += ck * row[j]
+    return CyclotomicNumber(e, out)
+
+
 def _poly_divmod(num: list[Fraction], den: list[Fraction]):
+    """Quotient and remainder of polynomial long division, ascending degree."""
     num = list(num)
     dn = len(den)
     q = [Fraction(0)] * max(len(num) - dn + 1, 1)

@@ -75,3 +75,7 @@ class FoundBridge(BisetkitError):
 
 class OracleInconsistent(BisetkitError):
     """An orbit oracle found an orbit whose size and stabilizer disagree."""
+
+
+class CharacterTableError(BisetkitError):
+    """A computed character table fails its count, degree or orthogonality check."""

@@ -46,36 +46,6 @@ from .linalg import RowSpace
 # Backends
 # ---------------------------------------------------------------------------
 
-class RQBackend:
-    """kR_Q in the Artin basis; coordinates are rational class-function values."""
-
-    name = "rq"
-
-    def basis_labels(self, h, g) -> list[tuple[int, ...]]:
-        p = product_group(h, g)
-        return [c.representative.members for c in rq_cyclic_basis(p)]
-
-    def coord_dim(self, h, g) -> int:
-        return len(conjugacy_classes(product_group(h, g)))
-
-    def basis_vector(self, h, g, i) -> list[Fraction]:
-        p = product_group(h, g)
-        rep = self.basis_labels(h, g)[i]
-        return list(perm_character_members(p, rep).rational_values())
-
-    def compose(self, h, g, k, beta, alpha) -> list[Fraction]:
-        tm = CharacterVector(product_group(h, g),
-                             tuple(Cyc.from_rational(c) for c in beta))
-        tn = CharacterVector(product_group(g, k),
-                             tuple(Cyc.from_rational(c) for c in alpha))
-        return list(compose_characters(tm, tn, h, g, k).rational_values())
-
-    def identity(self, g) -> list[Fraction]:
-        p = product_group(g, g)
-        diag = tuple(sorted(p.encode((a, a)) for a in range(g.order)))
-        return list(perm_character_members(p, diag).rational_values())
-
-
 class CRCBackend:
     """Complex representations; basis = irreducible characters of the product."""
 
@@ -92,7 +62,8 @@ class CRCBackend:
         p = product_group(h, g)
         return list(character_table(p)[i].values)
 
-    def compose(self, h, g, k, beta, alpha) -> list[Cyc]:
+    def compose(self, h, g, k, beta, alpha) -> list:
+        """Compose class-function coordinates; the result keeps their scalar type."""
         tm = CharacterVector(product_group(h, g), tuple(beta))
         tn = CharacterVector(product_group(g, k), tuple(alpha))
         return list(compose_characters(tm, tn, h, g, k).values)
@@ -101,6 +72,27 @@ class CRCBackend:
         p = product_group(g, g)
         diag = tuple(sorted(p.encode((a, a)) for a in range(g.order)))
         return list(perm_character_members(p, diag).values)
+
+
+class RQBackend(CRCBackend):
+    """kR_Q in the Artin basis. Coordinates are the rational values of the
+    class functions, kept as Fractions, so composition is the crc one over Q."""
+
+    name = "rq"
+
+    def basis_labels(self, h, g) -> list[tuple[int, ...]]:
+        p = product_group(h, g)
+        return [c.representative.members for c in rq_cyclic_basis(p)]
+
+    def basis_vector(self, h, g, i) -> list[Fraction]:
+        p = product_group(h, g)
+        rep = self.basis_labels(h, g)[i]
+        return list(perm_character_members(p, rep).rational_values())
+
+    def identity(self, g) -> list[Fraction]:
+        p = product_group(g, g)
+        diag = tuple(sorted(p.encode((a, a)) for a in range(g.order)))
+        return list(perm_character_members(p, diag).rational_values())
 
 
 class RBCBackend:
@@ -469,22 +461,13 @@ class Seed:
     character: UnitCharacter
 
 
-def seeds_kRQ(max_m: int, verify_ideal_up_to: int = 0) -> list[Seed]:
-    """One seed per primitive character of (Z/mZ)^x for each m <= max_m.
-
-    With verify_ideal_up_to > 0, the count for each small m is cross-checked
-    against the quotient dimension computed by the rq ideal span.
-    """
+def seeds_kRQ(max_m: int) -> list[Seed]:
+    """One seed per primitive character of (Z/mZ)^x for each m <= max_m."""
     if max_m > 64:
         raise OrderBound("seeds_kRQ capped at m <= 64")
     out = []
     for m in range(1, max_m + 1):
-        prims = primitive_characters(m)
-        if 0 < m <= verify_ideal_up_to:
-            dim = ahat_dim(RQBackend(), make_group("cyclic", m))
-            assert dim == len(prims), \
-                f"m={m}: ideal span gives {dim}, primitive count {len(prims)}"
-        for ch in prims:
+        for ch in primitive_characters(m):
             out.append(Seed(m, ch))
     return out
 

@@ -342,37 +342,12 @@ def product_group(*factors: FiniteGroup) -> FiniteGroup:
         g = FiniteGroup(label, base.table, factors=factors)
         _PRODUCT_MEMO[factors] = g
         return g
-    orders = [f.order for f in factors]
-    n = 1
-    for o in orders:
-        n *= o
-    strides = []
-    acc = 1
-    for o in reversed(orders):
-        strides.append(acc)
-        acc *= o
-    strides = list(reversed(strides))
-
-    def dec(x):
-        out = []
-        for s in strides:
-            q, x = divmod(x, s)
-            out.append(q)
-        return out
-
-    comps = [dec(x) for x in range(n)]
-    tables = [f.table for f in factors]
-    table = []
-    for a in range(n):
-        ca = comps[a]
-        row = []
-        for b in range(n):
-            cb = comps[b]
-            idx = 0
-            for t, s, x, y in zip(tables, strides, ca, cb):
-                idx += t[x][y] * s
-            row.append(idx)
-        table.append(row)
+    # (A x B) x C has the row-major encoding of A x B x C, so fold pairwise
+    table = factors[0].table
+    for f in factors[1:]:
+        m = f.order
+        table = [tuple(r * m + s for r in ra for s in rb)
+                 for ra in table for rb in f.table]
     g = FiniteGroup(label, table, factors=factors)
     _PRODUCT_MEMO[factors] = g
     return g

@@ -1,6 +1,6 @@
 """Exact Gaussian elimination over any field-like scalar type.
 
-Scalars need +, -, *, /, bool() as a nonzero test, and an exemplar 1.
+Scalars need +, -, *, 1 / x, and bool() as a nonzero test.
 Used with Fraction for rational ranks/nullspaces and with CyclotomicNumber
 for complex character spans. Pivoting is left-to-right first-nonzero, so all
 results are deterministic.
@@ -40,22 +40,13 @@ class RowSpace:
         r = self.reduce(row)
         for col in range(self.width):
             if r[col]:
-                c = r[col]
-                self.pivots[col] = [x / c for x in r]
+                inv = 1 / r[col]
+                self.pivots[col] = [x * inv for x in r]
                 return True
         return False
 
     def contains(self, row: Sequence) -> bool:
         return not any(self.reduce(row))
-
-
-def rank(rows: Sequence[Sequence]) -> int:
-    if not rows:
-        return 0
-    rs = RowSpace(len(rows[0]))
-    for r in rows:
-        rs.add(r)
-    return rs.rank
 
 
 def rational_nullspace(rows: Sequence[Sequence[Fraction]], width: Optional[int] = None) -> list[list[Fraction]]:

@@ -1,9 +1,15 @@
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bisetkit
 from bisetkit.bisets import (
     all_transitive_classes,
     compose_bisets,
@@ -241,10 +247,34 @@ def test_character_table_degrees():
 
 
 def test_character_table_catalog_invariants():
-    # orthogonality and the degree equation are asserted inside; run them all
+    # orthogonality and the degree equation are checked inside; run them all
     for g in groups_up_to(15):
         tab = character_table(g)
         assert len(tab) == len(conjugacy_classes(g))
+
+
+def test_character_table_checks_survive_optimize(tmp_path):
+    # python -O strips assert statements; the exit checks must not be ones.
+    # With every induced character zero, the peel finds only the two linear
+    # characters of a fresh copy of S3, one short of its three classes.
+    code = textwrap.dedent("""
+        import bisetkit.characters as ch
+        from bisetkit.errors import CharacterTableError
+        from bisetkit.groups import FiniteGroup, make_group
+        s3 = FiniteGroup("S3copy", make_group("symmetric3").table)
+        ch.induced_character = lambda g, s, lam: ch.zero_character(g)
+        try:
+            ch.character_table(s3)
+        except CharacterTableError:
+            raise SystemExit(0)
+        raise SystemExit("no CharacterTableError under -O")
+    """)
+    src = str(Path(bisetkit.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONOPTIMIZE"}
+    env["PYTHONPATH"] = src
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_a4_has_cube_root_values():

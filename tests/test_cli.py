@@ -92,6 +92,22 @@ def test_compose_roundtrip(tmp_path, capsys):
     assert result["terms"] == [{"num": 2, "den": 1, "class": [0]}]
 
 
+def test_compose_accepts_prod_groups(tmp_path, capsys):
+    left = {"left": "prod(C2,C3)", "right": "C2",
+            "terms": [{"num": 1, "den": 1, "class": [0]}]}
+    right = {"left": "C2", "right": "C2",
+             "terms": [{"num": 1, "den": 1, "class": [0]}]}
+    fl, fr = tmp_path / "x.json", tmp_path / "y.json"
+    fl.write_text(json.dumps(left))
+    fr.write_text(json.dumps(right))
+    code, out, err = run(capsys, "--json", "compose", "--left", str(fl),
+                         "--mid", "C2", "--right", str(fr))
+    assert code == 0, err
+    result = json.loads(out)
+    assert (result["left"], result["right"]) == ("C2xC3", "C2")
+    assert result["terms"] == [{"num": 2, "den": 1, "class": [0]}]
+
+
 def test_compose_middle_mismatch(tmp_path, capsys):
     doc = {"left": "C2", "right": "C2",
            "terms": [{"num": 1, "den": 1, "class": [0]}]}
@@ -176,3 +192,30 @@ def test_cache_dir_flag(tmp_path, capsys):
         assert list(tmp_path.glob("*.json"))
     finally:
         cache.set_cache_dir(str(previous) if previous else None)
+
+
+# --json stdout of character-stack commands, pinned byte for byte
+GOLDEN_JSON = [
+    (("ahat", "--backend", "rq", "--group", "C5"),
+     '{"ambient": 7, "backend": "rq", "basis": ["[0, 6, 12, 18, 24]", '
+     '"[0, 7, 14, 16, 23]", "[0, 8, 11, 19, 22]"], "group": "C5", "ideal": 4, '
+     '"quotient": 3}'),
+    (("ahat", "--backend", "crc", "--group", "C3"),
+     '{"ambient": 9, "backend": "crc", "basis": [], "group": "C3", "ideal": 9, '
+     '"quotient": 0}'),
+    (("crc-check", "S3", "D10"),
+     '{"g": "S3", "k": "D10", "match": true, "product_rank": 12, "target_dim": 12}'),
+    (("lin-kernel", "A4"),
+     '{"class_reps": [[0], [0, 2], [0, 1, 3], [0, 2, 10, 11], '
+     '[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11]], "group": "A4", "kernel_dim": 2, '
+     '"vectors": [["1/2", "-3/2", "0", "1", "0"], ["1/2", "-1/2", "-1", "0", "1"]]}'),
+]
+
+
+@pytest.mark.parametrize("argv, expected", GOLDEN_JSON,
+                         ids=["ahat-rq-C5", "ahat-crc-C3", "crc-check-S3-D10",
+                              "lin-kernel-A4"])
+def test_json_output_golden(capsys, argv, expected):
+    code, out, _ = run(capsys, "--json", *argv)
+    assert code == 0
+    assert out == expected + "\n"

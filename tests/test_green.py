@@ -3,6 +3,8 @@ from fractions import Fraction
 import pytest
 
 from bisetkit.catalog import group_by_name
+from bisetkit.characters import CharacterVector, compose_characters
+from bisetkit.cyclotomic import Cyc
 from bisetkit.errors import CatalogInsufficient, NotDivisor
 from bisetkit.green import (
     RBBackend,
@@ -23,7 +25,7 @@ from bisetkit.green import (
     xn_element,
     xn_ideal_dim,
 )
-from bisetkit.groups import make_group
+from bisetkit.groups import make_group, product_group
 
 
 def test_units_and_characters():
@@ -91,8 +93,34 @@ def test_seed_counts_and_keys():
 
 
 def test_seeds_verify_against_ideal():
-    seeds = seeds_kRQ(4, verify_ideal_up_to=4)  # asserts internally
-    assert len([s for s in seeds if s.m == 4]) == 1
+    for m in range(1, 5):
+        assert ahat_dim(RQBackend(), make_group("cyclic", m)) == \
+            len(primitive_characters(m))
+
+
+def test_rq_compose_over_fraction_matches_cyc_path():
+    # the oracle wraps every rational in a Cyc, composes, and unwraps
+    rq = RQBackend()
+    groups = [group_by_name(n) for n in ("C1", "C2", "C3", "V4", "S3")]
+
+    def basis(h, g):
+        return [rq.basis_vector(h, g, i) for i in range(len(rq.basis_labels(h, g)))]
+
+    for h in groups:
+        for g in groups:
+            if g.order > 3:
+                continue
+            for k in groups:
+                for beta in basis(h, g):
+                    for alpha in basis(g, k):
+                        got = rq.compose(h, g, k, beta, alpha)
+                        assert all(type(x) is Fraction for x in got)
+                        tm = CharacterVector(product_group(h, g),
+                                             tuple(Cyc.from_rational(c) for c in beta))
+                        tn = CharacterVector(product_group(g, k),
+                                             tuple(Cyc.from_rational(c) for c in alpha))
+                        want = compose_characters(tm, tn, h, g, k).rational_values()
+                        assert tuple(got) == want
 
 
 def test_ideal_span_rb_trivial_group():

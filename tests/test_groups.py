@@ -135,6 +135,22 @@ def test_order_one_factor_shares_the_table():
     assert product_group(c1, c1).table == c1.table
 
 
+def test_product_table_is_componentwise():
+    # the oracle multiplies decoded components factor by factor
+    c2, c3 = make_group("cyclic", 2), make_group("cyclic", 3)
+    s3, q8 = make_group("symmetric3"), make_group("quaternion8")
+    v4 = product_group(c2, c2)
+    for factors in [(c2, s3), (s3, c3), (q8, c3), (c2, c3, s3), (s3, c2, q8),
+                    (v4, c3, c2)]:
+        p = product_group(*factors)
+        for a in range(p.order):
+            da = p.decode(a)
+            for b in range(p.order):
+                db = p.decode(b)
+                want = tuple(f.table[x][y] for f, x, y in zip(factors, da, db))
+                assert p.table[a][b] == p.encode(want)
+
+
 def test_quotient_by_whole_group():
     s3 = make_group("symmetric3")
     q, proj = quotient_group(s3, subgroup(s3, range(6)))

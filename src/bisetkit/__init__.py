@@ -5,7 +5,6 @@ from .groups import (
     GroupHom,
     Subgroup,
     SubgroupClass,
-    direct_product,
     double_cosets,
     is_isomorphic,
     make_group,
@@ -23,7 +22,6 @@ __all__ = [
     "GroupHom",
     "Subgroup",
     "SubgroupClass",
-    "direct_product",
     "double_cosets",
     "groups_of_order",
     "is_isomorphic",

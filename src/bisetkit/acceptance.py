@@ -336,14 +336,12 @@ CRITERIA: list[tuple[int, str, Callable[[], dict]]] = [
 ]
 
 
-def run_all(selected: Optional[list[int]] = None, out=None, err=None) -> list[dict]:
-    out = out or sys.stdout
-    err = err or sys.stderr
+def run_all(selected: Optional[list[int]] = None) -> list[dict]:
     results = []
     for number, name, fn in CRITERIA:
         if selected and number not in selected:
             continue
-        print(f"running criterion {number}: {name} ...", file=err, flush=True)
+        print(f"running criterion {number}: {name} ...", file=sys.stderr, flush=True)
         t0 = time.time()
         report = fn()
         report["criterion"] = number
@@ -351,6 +349,6 @@ def run_all(selected: Optional[list[int]] = None, out=None, err=None) -> list[di
         report["seconds"] = round(time.time() - t0, 2)
         status = "PASS" if report["passed"] else "FAIL"
         print(f"{status} criterion {number} ({name}) [{report['seconds']}s]",
-              file=out, flush=True)
+              flush=True)
         results.append(report)
     return results

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
+import tempfile
 from pathlib import Path
 from typing import Optional
 
@@ -43,7 +45,8 @@ def _path_for(fingerprint: str) -> Optional[Path]:
 
 
 def load_lattice(fingerprint: str, order: int):
-    """Return (subgroups, class_ids) from disk, or None on any problem."""
+    """Return (subgroups, class_ids) from disk, or None on any problem,
+    a file without class ids included."""
     p = _path_for(fingerprint)
     if p is None or not p.exists():
         return None
@@ -52,9 +55,7 @@ def load_lattice(fingerprint: str, order: int):
         if doc.get("order") != order or doc.get("hash") != fingerprint:
             return None
         subs = [tuple(int(x) for x in m) for m in doc["subgroups"]]
-        classes = doc.get("classes")
-        if classes is not None:
-            classes = [[int(x) for x in ids] for ids in classes]
+        classes = [[int(x) for x in ids] for ids in doc["classes"]]
         return subs, classes
     except (OSError, ValueError, KeyError, TypeError):
         return None
@@ -72,8 +73,13 @@ def store_lattice(fingerprint: str, order: int, subgroups, class_ids) -> None:
     }
     try:
         p.parent.mkdir(parents=True, exist_ok=True)
-        tmp = p.with_suffix(".tmp")
-        tmp.write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")
-        tmp.replace(p)
+        fd, tmp = tempfile.mkstemp(dir=p.parent, suffix=".tmp")
     except OSError:
-        pass
+        return
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(doc, sort_keys=True))
+        os.replace(tmp, p)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)

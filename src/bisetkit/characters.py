@@ -41,6 +41,7 @@ from .groups import (
     subgroup_classes,
     subgroups,
 )
+from .linalg import RowSpace
 
 CHARACTER_TABLE_BOUND = 64
 
@@ -324,7 +325,7 @@ def _char_sort_key(chi: CharacterVector, e: int):
     return (chi.degree(), tuple(v.sort_key(e) for v in chi.values))
 
 
-def character_table(g: FiniteGroup, bound: int = CHARACTER_TABLE_BOUND) -> list[CharacterVector]:
+def character_table(g: FiniteGroup) -> list[CharacterVector]:
     """The irreducible complex characters, exactly.
 
     Linear characters come from the abelianization; the remaining irreducibles
@@ -335,7 +336,7 @@ def character_table(g: FiniteGroup, bound: int = CHARACTER_TABLE_BOUND) -> list[
     Verified on exit (count, degree equation, orthogonality); a failure
     raises CharacterTableError.
     """
-    if g.order > bound:
+    if g.order > CHARACTER_TABLE_BOUND:
         raise OrderBound(f"character table beyond bound: |{g.label}| = {g.order}")
     got = g._derived.get("char_table")
     if got is not None:
@@ -399,16 +400,14 @@ def character_table(g: FiniteGroup, bound: int = CHARACTER_TABLE_BOUND) -> list[
 # Kernel of the linearization on B(G)
 # ---------------------------------------------------------------------------
 
-def lin_kernel(g: FiniteGroup, bound: int = CHARACTER_TABLE_BOUND) -> list[list[Fraction]]:
+def lin_kernel(g: FiniteGroup) -> list[list[Fraction]]:
     """Basis of {c : sum_L c_L perm_char(G/L) = 0} over subgroup classes of G."""
-    if g.order > bound:
+    if g.order > CHARACTER_TABLE_BOUND:
         raise OrderBound(f"lin_kernel beyond bound: {g.order}")
-    from .linalg import rational_nullspace
     classes = subgroup_classes(g)
-    rows = []
-    for cls in classes:
-        rows.append(list(perm_character(g, cls.representative).rational_values()))
-    # kernel vectors c with c^T rows = 0: nullspace of the transpose
-    width = len(classes)
-    cols = [[rows[i][j] for i in range(width)] for j in range(len(rows[0]))]
-    return rational_nullspace(cols, width)
+    rows = [perm_character(g, cls.representative).rational_values() for cls in classes]
+    # kernel vectors c with c^T rows = 0: the nullspace of the transpose
+    space = RowSpace(len(classes))
+    for j in range(len(rows[0])):
+        space.add([row[j] for row in rows])
+    return space.nullspace()

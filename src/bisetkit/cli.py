@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -30,9 +31,10 @@ from .dress import (
     no_bridge_check,
     triple_subgroup,
 )
-from .errors import BisetkitError, FoundBridge
+from .errors import BisetkitError, FoundBridge, OrderBound
 from .green import crc_product_span, get_backend, ideal_span, seeds_kRQ
 from .groups import (
+    DEFAULT_ORDER_BOUND,
     FiniteGroup,
     automorphisms,
     canonical_subgroup_rep,
@@ -45,8 +47,12 @@ from .groups import (
 )
 
 
-def resolve_group(name: str) -> FiniteGroup:
-    """Accepts catalog names, Cn / Dn shorthands, and prod(A,B) compositions."""
+def resolve_group(name: str, bound: int = DEFAULT_ORDER_BOUND) -> FiniteGroup:
+    """Accepts catalog names, Cn / Dn shorthands, and prod(A,B) compositions.
+
+    A group of order above ``bound`` raises OrderBound, before its table is
+    built whenever the order is known from the name or the factors.
+    """
     name = name.strip()
     if name.startswith("prod(") and name.endswith(")"):
         inner = name[5:-1]
@@ -62,25 +68,52 @@ def resolve_group(name: str) -> FiniteGroup:
         parts.append(inner[start:])
         if len(parts) < 2:
             raise BisetkitError(f"prod needs at least two factors: {name!r}")
-        return product_group(*[resolve_group(p) for p in parts])
+        factors = [resolve_group(p, bound) for p in parts]
+        _check_order(name, math.prod(f.order for f in factors), bound)
+        return product_group(*factors)
     try:
-        return _catalog.group_by_name(name)
+        g = _catalog.group_by_name(name)
     except BisetkitError:
-        pass
-    if name.startswith("C") and name[1:].isdigit():
-        return make_group("cyclic", int(name[1:]))
-    if name.startswith("D") and name[1:].isdigit():
-        return make_group("dihedral", int(name[1:]))
-    raise BisetkitError(f"unknown group name {name!r}")
+        kind = {"C": "cyclic", "D": "dihedral"}.get(name[:1])
+        if kind is None or not name[1:].isdigit():
+            raise BisetkitError(f"unknown group name {name!r}") from None
+        _check_order(name, int(name[1:]), bound)
+        return make_group(kind, int(name[1:]))
+    _check_order(name, g.order, bound)
+    return g
 
 
-def _parse_generators(text: str) -> list[tuple[int, ...]]:
-    """Parse '1,0,2;0,1,1' into component tuples."""
+def _check_order(name: str, order: int, bound: int) -> None:
+    if order > bound:
+        raise OrderBound(f"{name} has order {order}, above --order-bound {bound}")
+
+
+def _parse_generators(text: str, p: FiniteGroup, lone_index: bool = False) -> list[int]:
+    """Parse 'a,b,c;a,b,c' into elements of the product group p.
+
+    Each generator needs one integer component per factor of p, each within
+    its factor's order; with ``lone_index`` a single integer is an element
+    index of p, within |p|. Anything else raises BisetkitError.
+    """
     out = []
     for chunk in text.split(";"):
         chunk = chunk.strip()
-        if chunk:
-            out.append(tuple(int(x) for x in chunk.split(",")))
+        if not chunk:
+            continue
+        try:
+            comps = [int(x) for x in chunk.split(",")]
+        except ValueError:
+            raise BisetkitError(f"generator {chunk!r} is not a list of integers") from None
+        if lone_index and len(comps) == 1:
+            orders = [p.order]
+        elif len(comps) == len(p.factors):
+            orders = [f.order for f in p.factors]
+        else:
+            raise BisetkitError(f"generator {chunk!r} needs {len(p.factors)} components, "
+                                f"one per factor of {p.label}")
+        if not all(0 <= x < n for x, n in zip(comps, orders)):
+            raise BisetkitError(f"generator {chunk!r} is out of range for {p.label}")
+        out.append(comps[0] if len(orders) == 1 else p.encode(comps))
     return out
 
 
@@ -93,9 +126,9 @@ def _element_to_json(x: BurnsideElement) -> dict:
     }
 
 
-def _element_from_json(doc: dict) -> BurnsideElement:
-    left = resolve_group(doc["left"])
-    right = resolve_group(doc["right"])
+def _element_from_json(doc: dict, bound: int) -> BurnsideElement:
+    left = resolve_group(doc["left"], bound)
+    right = resolve_group(doc["right"], bound)
     p = product_group(left, right)
     coeffs: dict[tuple[int, ...], Fraction] = {}
     for term in doc["terms"]:
@@ -122,7 +155,7 @@ def _emit(args, doc: dict, human: str) -> None:
 
 
 def cmd_group(args) -> int:
-    g = resolve_group(args.name)
+    g = resolve_group(args.name, args.order_bound)
     if args.what == "info":
         classes = conjugacy_classes(g)
         orders: dict[int, int] = {}
@@ -134,8 +167,8 @@ def cmd_group(args) -> int:
                "element_orders": {str(k): v for k, v in sorted(orders.items())}}
         _emit(args, doc, "\n".join(f"{k}: {v}" for k, v in doc.items()))
     elif args.what == "subgroups":
-        subs = subgroups(g, bound=args.order_bound)
-        cls = subgroup_classes(g, bound=args.order_bound)
+        subs = subgroups(g)
+        cls = subgroup_classes(g)
         doc = {"label": g.label, "subgroups": len(subs), "classes": len(cls),
                "by_class": [{"order": c.representative.order,
                              "representative": list(c.representative.members),
@@ -146,7 +179,7 @@ def cmd_group(args) -> int:
                          f"class size {c.size:3d}  rep {list(c.representative.members)}")
         _emit(args, doc, "\n".join(lines))
     else:  # auts
-        auts, inner, out_order = automorphisms(g, bound=args.order_bound)
+        auts, inner, out_order = automorphisms(g)
         doc = {"label": g.label, "aut_order": len(auts),
                "inn_order": len(inner), "out_order": out_order}
         _emit(args, doc,
@@ -156,10 +189,10 @@ def cmd_group(args) -> int:
 
 def cmd_compose(args) -> int:
     with open(args.left, encoding="utf-8") as fh:
-        x = _element_from_json(json.load(fh))
+        x = _element_from_json(json.load(fh), args.order_bound)
     with open(args.right, encoding="utf-8") as fh:
-        y = _element_from_json(json.load(fh))
-    mid = resolve_group(args.mid)
+        y = _element_from_json(json.load(fh), args.order_bound)
+    mid = resolve_group(args.mid, args.order_bound)
     if x.right.label != mid.label or y.left.label != mid.label:
         raise BisetkitError(
             f"middle group {mid.label} does not match elements "
@@ -170,18 +203,10 @@ def cmd_compose(args) -> int:
 
 
 def cmd_bouc(args) -> int:
-    h = resolve_group(args.left)
-    g = resolve_group(args.right)
+    h = resolve_group(args.left, args.order_bound)
+    g = resolve_group(args.right, args.order_bound)
     p = product_group(h, g)
-    gens = []
-    for t in _parse_generators(args.subgroup):
-        if len(t) == 2:
-            gens.append(p.encode(t))
-        elif len(t) == 1:
-            gens.append(t[0])  # already a product index
-        else:
-            raise BisetkitError(f"subgroup generator {t} is not a pair")
-    members = closure(p, gens)
+    members = closure(p, _parse_generators(args.subgroup, p, lone_index=True))
     rep = canonical_subgroup_rep(p, members)
     from .bisets import BisetClass
     cls = BisetClass(h, g, rep)
@@ -212,8 +237,8 @@ def cmd_ahat(args) -> int:
     if args.backend == "rbc" and not args.c:
         print("usage error: --backend rbc requires --c", file=sys.stderr)
         return 2
-    h = resolve_group(args.group)
-    c = resolve_group(args.c) if args.c else None
+    h = resolve_group(args.group, args.order_bound)
+    c = resolve_group(args.c, args.order_bound) if args.c else None
     backend = get_backend(args.backend, c)
     report = ideal_span(backend, h)
     doc = report.to_json_dict()
@@ -225,7 +250,7 @@ def cmd_ahat(args) -> int:
 
 
 def cmd_lin_kernel(args) -> int:
-    g = resolve_group(args.name)
+    g = resolve_group(args.name, args.order_bound)
     basis = lin_kernel(g)
     labels = [list(c.representative.members) for c in subgroup_classes(g)]
     doc = {"group": g.label, "kernel_dim": len(basis),
@@ -256,8 +281,8 @@ def cmd_seeds(args) -> int:
 
 
 def cmd_crc_check(args) -> int:
-    g = resolve_group(args.g)
-    k = resolve_group(args.k)
+    g = resolve_group(args.g, args.order_bound)
+    k = resolve_group(args.k, args.order_bound)
     rep = crc_product_span(g, k)
     doc = {"g": g.label, "k": k.label, "product_rank": rep["product_rank"],
            "target_dim": rep["target_dim"], "match": rep["match"]}
@@ -267,14 +292,14 @@ def cmd_crc_check(args) -> int:
 
 
 def cmd_dress_compose(args) -> int:
-    g = resolve_group(args.g)
-    l = resolve_group(args.l)
-    k = resolve_group(args.k)
-    c = resolve_group(args.c)
+    g = resolve_group(args.g, args.order_bound)
+    l = resolve_group(args.l, args.order_bound)
+    k = resolve_group(args.k, args.order_bound)
+    c = resolve_group(args.c, args.order_bound)
     p_glc = product_group(g, l, c)
     p_lkc = product_group(l, k, c)
-    e_members = closure(p_glc, [p_glc.encode(t) for t in _parse_generators(args.e)])
-    d_members = closure(p_lkc, [p_lkc.encode(t) for t in _parse_generators(args.d)])
+    e_members = closure(p_glc, _parse_generators(args.e, p_glc))
+    d_members = closure(p_lkc, _parse_generators(args.d, p_lkc))
     e = triple_subgroup(g, l, c, e_members)
     d = triple_subgroup(l, k, c, d_members)
     x = DressElement(g, l, c, {e.canonical_rep(): Fraction(1)})
@@ -285,9 +310,9 @@ def cmd_dress_compose(args) -> int:
 
 
 def cmd_no_bridge(args) -> int:
-    g = resolve_group(args.g)
-    h = resolve_group(args.h)
-    c = resolve_group(args.c)
+    g = resolve_group(args.g, args.order_bound)
+    h = resolve_group(args.h, args.order_bound)
+    c = resolve_group(args.c, args.order_bound)
     report = no_bridge_check(g, h, c)
     _emit(args, report,
           f"scanned {report['sections_scanned']} sections; "
@@ -344,8 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--cache-dir", default=None,
                         help="subgroup lattice cache directory "
                              "(default: $BISETKIT_CACHE or ./.bisetkit-cache)")
-    parser.add_argument("--order-bound", type=int, default=256,
-                        help="largest group order the lattice code will touch")
+    parser.add_argument("--order-bound", type=int, default=DEFAULT_ORDER_BOUND,
+                        help="largest order of a group named on the command line")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("group", help="inspect a single group")

@@ -7,6 +7,9 @@ cosets of p23(E) \\ (L x C) / p13(D) with stabilizers E * shifted D, where
 
     E * D = {(g, k, c) : exists l with (g, l, c) in E and (l, k, c) in D}.
 
+One loop, _shifted_stars, yields these shifted star products; the Mackey
+formula, star_triple and the decomposability search all read them from it.
+
 RB is the case C = C1: L <= H x G and L x 1 <= H x G x C1 have the same
 member integers, so dress_compose_members and dress_oracle at C1 are the
 Mackey formula and the orbit oracle behind bisets.compose_transitive and
@@ -25,6 +28,7 @@ from typing import Optional, Sequence
 
 from . import catalog as _catalog
 from .errors import (
+    AuditFailed,
     FactorMismatch,
     FoundBridge,
     NotCentral,
@@ -87,22 +91,10 @@ class TripleSubgroup:
     def proj(self, i: int) -> tuple[int, ...]:
         return tuple(sorted({t[i] for t in self._decoded()}))
 
-    def proj_pair(self, i: int, j: int) -> tuple[int, ...]:
-        factors = (self.g, self.k, self.c)
-        pij = product_group(factors[i], factors[j])
-        return tuple(sorted({pij.encode((t[i], t[j])) for t in self._decoded()}))
-
     def kern(self, i: int) -> tuple[int, ...]:
         others = [j for j in range(3) if j != i]
         return tuple(sorted({t[i] for t in self._decoded()
                              if all(t[j] == 0 for j in others)}))
-
-    def kern_pair(self, i: int, j: int) -> tuple[int, ...]:
-        other = next(a for a in range(3) if a not in (i, j))
-        factors = (self.g, self.k, self.c)
-        pij = product_group(factors[i], factors[j])
-        return tuple(sorted({pij.encode((t[i], t[j])) for t in self._decoded()
-                             if t[other] == 0}))
 
     def canonical_rep(self) -> tuple[int, ...]:
         return canonical_subgroup_rep(self.triple, self.members)
@@ -163,43 +155,25 @@ def star_triple(e: TripleSubgroup, d: TripleSubgroup) -> TripleSubgroup:
     """E * D over a shared middle factor and shared C; verified to be a subgroup."""
     if e.k is not d.g or e.c is not d.c:
         raise FactorMismatch("star_triple: factors do not chain")
-    members = _star_members(e.g, e.k, d.k, e.c, e.members, d.members)
-    out = TripleSubgroup(e.g, d.k, e.c, members)
-    assert is_subgroup_members(out.triple, members), "star product not a subgroup"
+    # the double coset of the identity comes first, and its shift is trivial
+    _, star = next(_shifted_stars(e.g, e.k, d.k, e.c, e.members, d.members))
+    out = TripleSubgroup(e.g, d.k, e.c, tuple(sorted(star)))
+    assert is_subgroup_members(out.triple, out.members), "star product not a subgroup"
     return out
 
 
-def _star_members(g: FiniteGroup, l: FiniteGroup, k: FiniteGroup, c: FiniteGroup,
-                  e_members: Sequence[int], d_members: Sequence[int]) -> tuple[int, ...]:
-    p_glc = product_group(g, l, c)
-    p_lkc = product_group(l, k, c)
-    p_gkc = product_group(g, k, c)
-    by_lc: dict[tuple[int, int], list[int]] = {}
-    for m in d_members:
-        ll, kk, cc = p_lkc.decode(m)
-        by_lc.setdefault((ll, cc), []).append(kk)
-    out = set()
-    for m in e_members:
-        gg, ll, cc = p_glc.decode(m)
-        for kk in by_lc.get((ll, cc), ()):
-            out.add(p_gkc.encode((gg, kk, cc)))
-    return tuple(sorted(out))
+def _shifted_stars(g: FiniteGroup, l: FiniteGroup, k: FiniteGroup, c: FiniteGroup,
+                   e_members: Sequence[int], d_members: Sequence[int]):
+    """Yield ((l0, c0), members of E * D shifted by (l0, 1, c0)) for each
+    double coset rep (l0, c0) of p23(E) \\ L x C / p13(D), in the order of
+    double_cosets; the members are indices of G x K x C.
 
-
-def dress_compose_members(g: FiniteGroup, l: FiniteGroup, k: FiniteGroup,
-                          c: FiniteGroup, e_members: Sequence[int],
-                          d_members: Sequence[int]) -> dict[tuple[int, ...], Fraction]:
-    """Transitive three-set Mackey rule; returns class rep -> multiplicity.
-
-    E and D are decoded once. For each double coset rep (l0, c0), D is
-    conjugated by (l0, 1, c0) through the L and C tables and bucketed by its
-    (l, c) pair, so E * D is one lookup per member of E. At C = C1 this is the
-    Mackey formula of RB: L <= H x G and L x 1 <= H x G x C1 have the same
-    member integers.
+    E and D are decoded once. For each rep, D is conjugated by (l0, 1, c0)
+    through the L and C tables and bucketed by its (l, c) pair, so the star
+    product is one lookup per member of E.
     """
     p_glc = product_group(g, l, c)
     p_lkc = product_group(l, k, c)
-    p_gkc = product_group(g, k, c)
     p_lc = product_group(l, c)
     co = c.order
     kc = k.order * co
@@ -211,7 +185,6 @@ def dress_compose_members(g: FiniteGroup, l: FiniteGroup, k: FiniteGroup,
     p23e = subgroup(p_lc, {lc for lc, _ in e_keys}, check=False)
     p13d = subgroup(p_lc, {ll * co + cc for ll, _, cc in d_trips}, check=False)
     tl, il, tc, ic = l.table, l.inv, c.table, c.inv
-    out: dict[tuple[int, ...], Fraction] = {}
     for rep in double_cosets(p_lc, p23e, p13d):
         l0, c0 = divmod(rep, co)
         l0i, c0i = il[l0], ic[c0]
@@ -223,6 +196,20 @@ def dress_compose_members(g: FiniteGroup, l: FiniteGroup, k: FiniteGroup,
         for lc, base in e_keys:
             for kc_part in by_lc.get(lc, ()):
                 star.add(base + kc_part)
+        yield (l0, c0), star
+
+
+def dress_compose_members(g: FiniteGroup, l: FiniteGroup, k: FiniteGroup,
+                          c: FiniteGroup, e_members: Sequence[int],
+                          d_members: Sequence[int]) -> dict[tuple[int, ...], Fraction]:
+    """Transitive three-set Mackey rule; returns class rep -> multiplicity.
+
+    One class per shifted star product. At C = C1 this is the Mackey formula
+    of RB: L <= H x G and L x 1 <= H x G x C1 have the same member integers.
+    """
+    p_gkc = product_group(g, k, c)
+    out: dict[tuple[int, ...], Fraction] = {}
+    for _, star in _shifted_stars(g, l, k, c, e_members, d_members):
         crep = canonical_subgroup_rep(p_gkc, star)
         out[crep] = out.get(crep, Fraction(0)) + 1
     return out
@@ -391,11 +378,18 @@ def d_theta_zeta(g: FiniteGroup, c: FiniteGroup, theta: GroupHom,
         p.encode((g.mul(theta(x), zeta(cc)), x, cc))
         for x in range(g.order) for cc in range(c.order)))
     out = TripleSubgroup(g, g, c, members)
-    assert out.order == g.order * c.order
-    assert out.proj(0) == tuple(range(g.order))
-    assert out.proj(1) == tuple(range(g.order))
-    assert out.kern(0) == (0,) and out.kern(1) == (0,)
+    _audit(out.order == g.order * c.order, "D_theta,zeta must have order |G| |C|")
+    _audit(out.proj(0) == tuple(range(g.order)), "p1(D_theta,zeta) must be G")
+    _audit(out.proj(1) == tuple(range(g.order)), "p2(D_theta,zeta) must be G")
+    _audit(out.kern(0) == (0,) and out.kern(1) == (0,),
+           "k1 and k2 of D_theta,zeta must be trivial")
     return out
+
+
+def _audit(ok: bool, fact: str) -> None:
+    """A checked step of a construction; unlike assert, it survives -O."""
+    if not ok:
+        raise AuditFailed(fact)
 
 
 def trivial_hom(c: FiniteGroup, g: FiniteGroup) -> GroupHom:
@@ -541,21 +535,10 @@ def is_star_decomposable(d: TripleSubgroup, order_bound: int) -> Optional[dict]:
         for kgrp in _catalog.groups_of_order(o):
             a_list = _side_classes(g, kgrp, c, 0, d.proj(0))
             b_list = _side_classes(h, kgrp, c, 1, d.proj(1))
-            p_kc = product_group(kgrp, c)
-            p_khc = product_group(kgrp, h, c)
-            t, inv = p_khc.table, p_khc.inv
             for a_members in a_list:
-                a_trip = TripleSubgroup(g, kgrp, c, a_members)
-                p23a = subgroup(p_kc, a_trip.proj_pair(1, 2), check=False)
                 for b_members in b_list:
-                    b_trip = TripleSubgroup(kgrp, h, c, b_members)
-                    p13b = subgroup(p_kc, b_trip.proj_pair(0, 2), check=False)
-                    for rep in double_cosets(p_kc, p23a, p13b):
-                        k0, c0 = p_kc.decode(rep)
-                        shift = p_khc.encode((k0, 0, c0))
-                        si = inv[shift]
-                        conj_b = tuple(sorted(t[t[shift][m]][si] for m in b_members))
-                        star = _star_members(g, kgrp, h, c, a_members, conj_b)
+                    for shift, star in _shifted_stars(g, kgrp, h, c,
+                                                      a_members, b_members):
                         if len(star) != len(d.members):
                             continue
                         if canonical_subgroup_rep(p_ghc, star) == d_canon:
@@ -563,7 +546,7 @@ def is_star_decomposable(d: TripleSubgroup, order_bound: int) -> Optional[dict]:
                                 "k": kgrp,
                                 "a_members": a_members,
                                 "b_members": b_members,
-                                "shift": (k0, c0),
+                                "shift": shift,
                                 "prune": prune_info,
                             }
     return None
@@ -587,20 +570,22 @@ def counterexample_check() -> dict:
     a_sub = set(closure(h, [a]))
     b = next(x for x in range(h.order)
              if h.element_order(x) == 2 and x not in a_sub)
-    assert h.conj(b, a) == h.inverse(a)
+    _audit(h.conj(b, a) == h.inverse(a), "b a b^-1 = a^-1 in D8")
     cc = 1  # generator of C4
     p_hc = product_group(h, c)
     alpha = p_hc.encode((a, c.mul(cc, cc)))
     beta = p_hc.encode((b, cc))
     t1 = closure(p_hc, [alpha])
     t2 = closure(p_hc, [beta])
-    assert len(t1) == 4 and len(t2) == 4
-    assert is_normal(p_hc, t1), "T1 must be normal in H x C"
-    assert set(t1) & set(t2) == {0}
-    assert p_hc.conj(beta, alpha) == p_hc.inverse(alpha)
+    _audit(len(t1) == 4 and len(t2) == 4, "T1 and T2 must have order 4")
+    _audit(is_normal(p_hc, t1), "T1 must be normal in H x C")
+    _audit(set(t1) & set(t2) == {0}, "T1 and T2 must meet trivially")
+    _audit(p_hc.conj(beta, alpha) == p_hc.inverse(alpha),
+           "beta alpha beta^-1 = alpha^-1")
     t_members = closure(p_hc, [alpha, beta])
-    assert len(t_members) == 16
-    assert set(t_members) == {p_hc.mul(x, y) for x in t1 for y in t2}
+    _audit(len(t_members) == 16, "T must have order 16")
+    _audit(set(t_members) == {p_hc.mul(x, y) for x in t1 for y in t2},
+           "T must be T1 T2")
     transcript["T"] = {"order": 16, "alpha": list(p_hc.decode(alpha)),
                        "beta": list(p_hc.decode(beta))}
 
@@ -610,12 +595,13 @@ def counterexample_check() -> dict:
     t_grp, t_incl = sub_as_group(t_sub)
     local = {m: i for i, m in enumerate(t_sub.members)}
     ker_local = closure(t_grp, [local[ker_gen]])
-    assert len(ker_local) == 2
+    _audit(len(ker_local) == 2, "alpha^2 beta^2 must have order 2")
     q, proj = quotient_group(t_grp, subgroup(t_grp, ker_local, check=False))
     iso = is_isomorphic(q, g)
-    assert iso is not None, "T / <alpha^2 beta^2> must be Q8"
+    _audit(iso is not None, "T / <alpha^2 beta^2> must be Q8")
     tau = proj.then(iso)
-    assert tau.kernel_members() == tuple(sorted(ker_local))
+    _audit(tau.kernel_members() == tuple(sorted(ker_local)),
+           "ker tau must be <alpha^2 beta^2>")
     transcript["tau"] = {
         "kernel_order": 2,
         "kernel_generator": list(p_hc.decode(ker_gen)),
@@ -630,10 +616,10 @@ def counterexample_check() -> dict:
         hh, ccc = p_hc.decode(t_incl(i))
         members.append(p_ghc.encode((tau(i), hh, ccc)))
     d = triple_subgroup(g, h, c, members)
-    assert d.order == 16
-    assert d.proj(0) == tuple(range(8)), "p1(D) must be all of Q8"
-    assert d.proj(1) == tuple(range(8)), "p2(D) must be all of D8"
-    assert d.kern(0) == (0,) and d.kern(1) == (0,)
+    _audit(d.order == 16, "D must have order 16")
+    _audit(d.proj(0) == tuple(range(8)), "p1(D) must be all of Q8")
+    _audit(d.proj(1) == tuple(range(8)), "p2(D) must be all of D8")
+    _audit(d.kern(0) == (0,) and d.kern(1) == (0,), "k1 and k2 of D must be trivial")
     transcript["D"] = {"order": d.order,
                        "members": [list(p_ghc.decode(m)) for m in d.members]}
 
@@ -643,23 +629,24 @@ def counterexample_check() -> dict:
     candidates = []
     for m in four:
         n = closure(p_ghc, [m])
-        assert len(n) == 4
+        _audit(len(n) == 4, "candidate kernel must have order 4")
         thirds = {p_ghc.decode(x)[2] for x in n}
-        assert len(thirds) == 4, "candidate kernel must be p3-injective"
+        _audit(len(thirds) == 4, "candidate kernel must be p3-injective")
         candidates.append({
             "generator": list(p_ghc.decode(m)),
             "normal_in_D": _normal_within(p_ghc, d.members, n),
         })
-    assert len(four) == 4, "exactly four order-4 third-coordinate elements"
-    assert not any(x["normal_in_D"] for x in candidates)
+    _audit(len(four) == 4, "exactly four order-4 third-coordinate elements")
+    _audit(not any(x["normal_in_D"] for x in candidates),
+           "no order-4 candidate kernel may be normal in D")
     transcript["order4_candidates"] = candidates
 
     admissible = admissible_kernel_check(d, 7)
-    assert admissible == [], "no admissible kernel of index <= 7 may exist"
+    _audit(admissible == [], "no admissible kernel of index <= 7 may exist")
     transcript["admissible_kernels_bound7"] = []
 
     witness = is_star_decomposable(d, order_bound=7)
-    assert witness is None, "D must not factor through order < 8"
+    _audit(witness is None, "D must not factor through order < 8")
     transcript["decomposable"] = False
     transcript["verdict"] = "NOT DECOMPOSABLE"
     return transcript

@@ -79,3 +79,7 @@ class OracleInconsistent(BisetkitError):
 
 class CharacterTableError(BisetkitError):
     """A computed character table fails its count, degree or orthogonality check."""
+
+
+class AuditFailed(BisetkitError):
+    """A fact that a construction checks step by step does not hold."""

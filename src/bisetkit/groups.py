@@ -22,6 +22,7 @@ from .errors import (
 )
 
 DEFAULT_ORDER_BOUND = 256
+BRUTEFORCE_BOUND = 16
 
 
 class FiniteGroup:
@@ -353,10 +354,6 @@ def product_group(*factors: FiniteGroup) -> FiniteGroup:
     return g
 
 
-def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
-    return product_group(g, h)
-
-
 # ---------------------------------------------------------------------------
 # Subgroups
 # ---------------------------------------------------------------------------
@@ -419,19 +416,9 @@ def closure(g: FiniteGroup, seed: Iterable[int]) -> tuple[int, ...]:
 def generating_sequence(g: FiniteGroup) -> tuple[int, ...]:
     """Greedy small generating sequence, deterministic."""
     got = g._derived.get("gens")
-    if got is not None:
-        return got
-    gens: list[int] = []
-    have = {0}
-    for a in range(g.order):
-        if a not in have:
-            gens.append(a)
-            have = set(closure(g, gens))
-            if len(have) == g.order:
-                break
-    out = tuple(gens)
-    g._derived["gens"] = out
-    return out
+    if got is None:
+        got = g._derived["gens"] = tuple(_subgroup_generators(g, range(g.order)))
+    return got
 
 
 def conjugate_members(g: FiniteGroup, members: Sequence[int], x: int) -> tuple[int, ...]:
@@ -453,6 +440,8 @@ def normalizer_members(g: FiniteGroup, members: Sequence[int]) -> tuple[int, ...
 
 
 def _subgroup_generators(g: FiniteGroup, members: Sequence[int]) -> list[int]:
+    """Greedy generators of the subgroup ``members``: each member not yet in
+    the closure of the earlier ones, in the order given."""
     gens: list[int] = []
     have = {0}
     for a in members:
@@ -479,56 +468,70 @@ def center(g: FiniteGroup) -> tuple[int, ...]:
 
 
 def is_solvable(g: FiniteGroup) -> bool:
+    """Whether the derived series of G reaches the trivial group."""
     got = g._derived.get("solvable")
-    if got is not None:
-        return got
-    t, inv = g.table, g.inv
-    current = tuple(range(g.order))
-    while True:
-        comms = set()
-        for a in current:
-            for b in current:
-                comms.add(t[t[a][b]][t[inv[a]][inv[b]]])
-        derived = closure(g, comms)
-        if len(derived) == len(current):
-            break
-        current = derived
-    got = len(current) == 1
-    g._derived["solvable"] = got
+    if got is None:
+        current = tuple(range(g.order))
+        derived = _commutator_closure(g, current)
+        while len(derived) < len(current):
+            current, derived = derived, _commutator_closure(g, derived)
+        got = g._derived["solvable"] = len(current) == 1
     return got
 
 
 def derived_subgroup(g: FiniteGroup) -> tuple[int, ...]:
+    return _commutator_closure(g, range(g.order))
+
+
+def _commutator_closure(g: FiniteGroup, members: Sequence[int]) -> tuple[int, ...]:
+    """[U, U] for the subgroup U = ``members``."""
     t, inv = g.table, g.inv
     comms = set()
-    for a in range(g.order):
-        for b in range(a):
+    for i, a in enumerate(members):
+        for b in members[:i]:
             comms.add(t[t[a][b]][t[inv[a]][inv[b]]])
     return closure(g, comms)
 
 
-def subgroups(g: FiniteGroup, bound: int = DEFAULT_ORDER_BOUND) -> list[Subgroup]:
+def subgroups(g: FiniteGroup) -> list[Subgroup]:
     """All subgroups, sorted by (size, member tuple).
+
+    Their conjugacy classes, as index lists, come with them and are memoized
+    as "class_ids": read from the disk cache, or computed together and
+    stored in one file.
+    """
+    if g.order > DEFAULT_ORDER_BOUND:
+        raise OrderBound(f"|{g.label}| = {g.order} exceeds bound {DEFAULT_ORDER_BOUND}")
+    subs = g._derived.get("subgroups")
+    if subs is not None:
+        return subs
+    cached = _cache.load_lattice(g.fingerprint, g.order)
+    if cached is not None:
+        member_lists, class_ids = cached
+    else:
+        member_lists = _enumerate_subgroups(g)
+        buckets: dict[tuple[int, ...], list[int]] = {}
+        for i, m in enumerate(member_lists):
+            buckets.setdefault(canonical_subgroup_rep(g, m), []).append(i)
+        # member_lists is sorted, so each bucket opens at its lex-least member
+        # and the buckets come out ordered by (size, representative)
+        class_ids = list(buckets.values())
+        _cache.store_lattice(g.fingerprint, g.order,
+                             [list(m) for m in member_lists], class_ids)
+    g._derived["class_ids"] = class_ids
+    subs = g._derived["subgroups"] = [Subgroup(g, m) for m in member_lists]
+    return subs
+
+
+def _enumerate_subgroups(g: FiniteGroup) -> list[tuple[int, ...]]:
+    """Member tuples of all subgroups, sorted by (size, members).
 
     Uses layered cyclic extension: every discovered subgroup U is extended by
     each element of its normalizer, which reaches exactly the subgroups with a
     subnormal cyclic chain, i.e. all solvable subgroups. For a non-solvable
     parent we fall back to joining with cyclic subgroups to a fixpoint, which
-    is complete for every finite group. Results are disk-cached by table hash.
+    is complete for every finite group.
     """
-    if g.order > bound:
-        raise OrderBound(f"|{g.label}| = {g.order} exceeds bound {bound}")
-    got = g._derived.get("subgroups")
-    if got is not None:
-        return got
-
-    cached = _cache.load_lattice(g.fingerprint, g.order)
-    if cached is not None:
-        subs = [Subgroup(g, tuple(m)) for m in cached[0]]
-        g._derived["subgroups"] = subs
-        g._derived["class_ids"] = cached[1]
-        return subs
-
     t = g.table
     if is_solvable(g):
         all_subs: dict[tuple, None] = {(0,): None}
@@ -551,31 +554,25 @@ def subgroups(g: FiniteGroup, bound: int = DEFAULT_ORDER_BOUND) -> list[Subgroup
                         all_subs[vt] = None
                         next_frontier.append(vt)
             frontier = next_frontier
-        member_lists = sorted(all_subs, key=lambda m: (len(m), m))
-    else:
-        cyclics = sorted({closure(g, [a]) for a in range(g.order)})
-        all_set = {(0,)} | set(cyclics)
-        changed = True
-        while changed:
-            changed = False
-            for u in sorted(all_set):
-                for z in cyclics:
-                    v = closure(g, set(u) | set(z))
-                    if v not in all_set:
-                        all_set.add(v)
-                        changed = True
-        member_lists = sorted(all_set, key=lambda m: (len(m), m))
-
-    subs = [Subgroup(g, m) for m in member_lists]
-    g._derived["subgroups"] = subs
-    _store_lattice(g, subs)
-    return subs
+        return sorted(all_subs, key=lambda m: (len(m), m))
+    cyclics = sorted({closure(g, [a]) for a in range(g.order)})
+    all_set = {(0,)} | set(cyclics)
+    changed = True
+    while changed:
+        changed = False
+        for u in sorted(all_set):
+            for z in cyclics:
+                v = closure(g, set(u) | set(z))
+                if v not in all_set:
+                    all_set.add(v)
+                    changed = True
+    return sorted(all_set, key=lambda m: (len(m), m))
 
 
-def subgroups_bruteforce(g: FiniteGroup, bound: int = 16) -> list[tuple[int, ...]]:
+def subgroups_bruteforce(g: FiniteGroup) -> list[tuple[int, ...]]:
     """Oracle: enumerate all closed subsets containing 0 by bitmask scan."""
-    if g.order > bound:
-        raise OrderBound(f"brute-force oracle capped at order {bound}")
+    if g.order > BRUTEFORCE_BOUND:
+        raise OrderBound(f"brute-force oracle capped at order {BRUTEFORCE_BOUND}")
     n = g.order
     t = g.table
     out = []
@@ -612,49 +609,15 @@ class SubgroupClass:
         return len(self.members)
 
 
-def subgroup_classes(g: FiniteGroup, bound: int = DEFAULT_ORDER_BOUND) -> list[SubgroupClass]:
+def subgroup_classes(g: FiniteGroup) -> list[SubgroupClass]:
+    """Conjugacy classes of subgroups, ordered by (size, representative)."""
     got = g._derived.get("subgroup_classes")
-    if got is not None:
-        return got
-    subs = subgroups(g, bound)
-    class_ids = g._derived.get("class_ids")
-    if class_ids is None:
-        index = {s.members: i for i, s in enumerate(subs)}
-        seen = [False] * len(subs)
-        class_ids = []
-        gens = generating_sequence(g)
-        for i, s in enumerate(subs):
-            if seen[i]:
-                continue
-            orbit = {s.members}
-            frontier = [s.members]
-            while frontier:
-                m = frontier.pop()
-                for x in gens:
-                    c = conjugate_members(g, m, x)
-                    if c not in orbit:
-                        orbit.add(c)
-                        frontier.append(c)
-            ids = sorted(index[m] for m in orbit)
-            for j in ids:
-                seen[j] = True
-            class_ids.append(ids)
-        class_ids.sort(key=lambda ids: (len(subs[ids[0]].members), subs[ids[0]].members))
-        g._derived["class_ids"] = class_ids
-        _store_lattice(g, subs)
-    classes = []
-    for ids in class_ids:
-        membs = tuple(subs[j].members for j in ids)
-        classes.append(SubgroupClass(subs[ids[0]], membs))
-    g._derived["subgroup_classes"] = classes
-    return classes
-
-
-def _store_lattice(g: FiniteGroup, subs: list[Subgroup]) -> None:
-    class_ids = g._derived.get("class_ids")
-    _cache.store_lattice(g.fingerprint, g.order,
-                         [list(s.members) for s in subs],
-                         class_ids)
+    if got is None:
+        subs = subgroups(g)
+        got = g._derived["subgroup_classes"] = [
+            SubgroupClass(subs[ids[0]], tuple(subs[j].members for j in ids))
+            for ids in g._derived["class_ids"]]
+    return got
 
 
 def canonical_subgroup_rep(g: FiniteGroup, members: Sequence[int]) -> tuple[int, ...]:
@@ -950,10 +913,10 @@ def all_homs(g: FiniteGroup, h: FiniteGroup, *, surjective: bool = False,
     return out
 
 
-def automorphisms(g: FiniteGroup, bound: int = DEFAULT_ORDER_BOUND) -> tuple[list[GroupHom], list[GroupHom], int]:
+def automorphisms(g: FiniteGroup) -> tuple[list[GroupHom], list[GroupHom], int]:
     """All automorphisms, the inner ones, and |Out(G)|."""
-    if g.order > bound:
-        raise OrderBound(f"|{g.label}| exceeds bound {bound}")
+    if g.order > DEFAULT_ORDER_BOUND:
+        raise OrderBound(f"|{g.label}| exceeds bound {DEFAULT_ORDER_BOUND}")
     got = g._derived.get("automorphisms")
     if got is not None:
         return got
@@ -983,10 +946,9 @@ def order_profile(g: FiniteGroup) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(counts.items()))
 
 
-def is_isomorphic(g: FiniteGroup, h: FiniteGroup,
-                  bound: int = DEFAULT_ORDER_BOUND) -> Optional[GroupHom]:
+def is_isomorphic(g: FiniteGroup, h: FiniteGroup) -> Optional[GroupHom]:
     """An isomorphism G -> H if one exists, else None. Deterministic witness."""
-    if g.order > bound or h.order > bound:
+    if g.order > DEFAULT_ORDER_BOUND or h.order > DEFAULT_ORDER_BOUND:
         raise OrderBound("isomorphism test beyond order bound")
     if g.order != h.order:
         return None

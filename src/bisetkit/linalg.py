@@ -1,15 +1,14 @@
 """Exact Gaussian elimination over any field-like scalar type.
 
 Scalars need +, -, *, 1 / x, and bool() as a nonzero test.
-Used with Fraction for rational ranks/nullspaces and with CyclotomicNumber
+Used with Fraction for rational ranks and kernels and with CyclotomicNumber
 for complex character spans. Pivoting is left-to-right first-nonzero, so all
 results are deterministic.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 
 class RowSpace:
@@ -48,42 +47,25 @@ class RowSpace:
     def contains(self, row: Sequence) -> bool:
         return not any(self.reduce(row))
 
-
-def rational_nullspace(rows: Sequence[Sequence[Fraction]], width: Optional[int] = None) -> list[list[Fraction]]:
-    """Basis of {v : M v = 0} with M given by rows; deterministic RREF form."""
-    if width is None:
-        width = len(rows[0]) if rows else 0
-    m = [list(map(Fraction, r)) for r in rows]
-    nrows = len(m)
-    pivots: list[tuple[int, int]] = []  # (row, col)
-    prow = 0
-    for col in range(width):
-        sel = None
-        for i in range(prow, nrows):
-            if m[i][col]:
-                sel = i
-                break
-        if sel is None:
-            continue
-        m[prow], m[sel] = m[sel], m[prow]
-        pv = m[prow][col]
-        m[prow] = [x / pv for x in m[prow]]
-        for i in range(nrows):
-            if i != prow and m[i][col]:
-                c = m[i][col]
-                m[i] = [a - c * b for a, b in zip(m[i], m[prow])]
-        pivots.append((prow, col))
-        prow += 1
-        if prow == nrows:
-            break
-    pivot_cols = {c for _, c in pivots}
-    basis = []
-    for free in range(width):
-        if free in pivot_cols:
-            continue
-        v = [Fraction(0)] * width
-        v[free] = Fraction(1)
-        for r, c in pivots:
-            v[c] = -m[r][free]
-        basis.append(v)
-    return basis
+    def nullspace(self) -> list[list]:
+        """Basis of {v : r . v = 0 for every absorbed row r}, one vector per
+        free column: v[free] = 1 and v[pivot] = -RREF[pivot][free]. The RREF
+        is unique, so the basis depends only on the row space."""
+        rref: dict[int, list] = {}
+        for col in sorted(self.pivots, reverse=True):
+            r = self.pivots[col]
+            for c2, piv in rref.items():
+                if r[c2]:
+                    c = r[c2]
+                    r = [a - c * b for a, b in zip(r, piv)]
+            rref[col] = r
+        basis = []
+        for free in range(self.width):
+            if free in rref:
+                continue
+            v = [0] * self.width
+            v[free] = 1
+            for col, r in rref.items():
+                v[col] = -r[free]
+            basis.append(v)
+        return basis

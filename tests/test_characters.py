@@ -44,6 +44,7 @@ from bisetkit.groups import (
     subgroup,
     subgroup_classes,
 )
+from bisetkit.linalg import RowSpace
 
 C1 = make_group("cyclic", 1)
 C2 = make_group("cyclic", 2)
@@ -309,6 +310,26 @@ def test_lin_kernel_dimensions():
     for c, cls in zip(vec, classes):
         total = total + perm_character(V4, cls.representative).scale(c)
     assert total.is_zero()
+
+
+def test_lin_kernel_is_the_kernel_on_every_catalog_group():
+    # rank oracle: by Artin's induction theorem the permutation characters
+    # span a space of dimension #classes of cyclic subgroups
+    for g in groups_up_to(15):
+        classes = subgroup_classes(g)
+        rows = [perm_character(g, cls.representative) for cls in classes]
+        cyclic = sum(1 for cls in classes
+                     if any(g.element_order(x) == cls.representative.order
+                            for x in cls.representative.members))
+        basis = lin_kernel(g)
+        assert len(basis) == len(classes) - cyclic, g.label
+        for vec in basis:
+            total = zero_character(g)
+            for c, row in zip(vec, rows):
+                total = total + row.scale(c)
+            assert total.is_zero(), g.label
+        independent = RowSpace(len(classes))
+        assert all(independent.add(vec) for vec in basis), g.label
 
 
 def test_rq_cyclic_basis_counts():

@@ -209,13 +209,67 @@ GOLDEN_JSON = [
      '{"class_reps": [[0], [0, 2], [0, 1, 3], [0, 2, 10, 11], '
      '[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11]], "group": "A4", "kernel_dim": 2, '
      '"vectors": [["1/2", "-3/2", "0", "1", "0"], ["1/2", "-1/2", "-1", "0", "1"]]}'),
+    (("lin-kernel", "C2xC2xC2"),
+     '{"class_reps": [[0], [0, 1], [0, 2], [0, 3], [0, 4], [0, 5], [0, 6], [0, 7], '
+     '[0, 1, 2, 3], [0, 1, 4, 5], [0, 1, 6, 7], [0, 2, 4, 6], [0, 2, 5, 7], '
+     '[0, 3, 4, 7], [0, 3, 5, 6], [0, 1, 2, 3, 4, 5, 6, 7]], "group": "C2xC2xC2", '
+     '"kernel_dim": 8, "vectors": ['
+     '["1/2", "-1/2", "-1/2", "-1/2", "0", "0", "0", "0", "1", "0", "0", "0", "0", "0", "0", "0"], '
+     '["1/2", "-1/2", "0", "0", "-1/2", "-1/2", "0", "0", "0", "1", "0", "0", "0", "0", "0", "0"], '
+     '["1/2", "-1/2", "0", "0", "0", "0", "-1/2", "-1/2", "0", "0", "1", "0", "0", "0", "0", "0"], '
+     '["1/2", "0", "-1/2", "0", "-1/2", "0", "-1/2", "0", "0", "0", "0", "1", "0", "0", "0", "0"], '
+     '["1/2", "0", "-1/2", "0", "0", "-1/2", "0", "-1/2", "0", "0", "0", "0", "1", "0", "0", "0"], '
+     '["1/2", "0", "0", "-1/2", "-1/2", "0", "0", "-1/2", "0", "0", "0", "0", "0", "1", "0", "0"], '
+     '["1/2", "0", "0", "-1/2", "0", "-1/2", "-1/2", "0", "0", "0", "0", "0", "0", "0", "1", "0"], '
+     '["3/4", "-1/4", "-1/4", "-1/4", "-1/4", "-1/4", "-1/4", "-1/4", "0", "0", "0", "0", "0", "0", "0", "1"]]}'),
+    (("lin-kernel", "D12"),
+     '{"class_reps": [[0], [0, 2], [0, 4], [0, 6], [0, 3, 10], [0, 2, 6, 11], '
+     '[0, 1, 3, 6, 9, 10], [0, 2, 3, 7, 8, 10], [0, 3, 4, 5, 10, 11], '
+     '[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11]], "group": "D12", "kernel_dim": 4, '
+     '"vectors": [["1/2", "-1/2", "-1/2", "-1/2", "0", "1", "0", "0", "0", "0"], '
+     '["1/2", "-1", "0", "0", "-1/2", "0", "0", "1", "0", "0"], '
+     '["1/2", "0", "-1", "0", "-1/2", "0", "0", "0", "1", "0"], '
+     '["1/2", "-1/2", "-1/2", "0", "0", "0", "-1/2", "0", "0", "1"]]}'),
 ]
 
 
 @pytest.mark.parametrize("argv, expected", GOLDEN_JSON,
                          ids=["ahat-rq-C5", "ahat-crc-C3", "crc-check-S3-D10",
-                              "lin-kernel-A4"])
+                              "lin-kernel-A4", "lin-kernel-C2xC2xC2",
+                              "lin-kernel-D12"])
 def test_json_output_golden(capsys, argv, expected):
     code, out, _ = run(capsys, "--json", *argv)
     assert code == 0
     assert out == expected + "\n"
+
+
+# malformed input ends in one error line and exit 1, never a traceback or a
+# silently different answer
+BAD_INPUT = [
+    ("dress-compose", "C2", "C2", "C2", "C2", "--e", "1,1", "--d", "0,0,0"),
+    ("bouc", "S3", "C2", "9,9"),
+    ("bouc", "S3", "C2", "x"),
+    ("bouc", "S3", "C2", "12"),
+    ("bouc", "S3", "C2", "0,-1"),
+    ("--order-bound", "4", "ahat", "--backend", "rb", "--group", "S3"),
+    ("no-bridge", "C4", "V4", "C9999"),
+]
+
+
+@pytest.mark.parametrize("argv", BAD_INPUT,
+                         ids=["dress-compose-short-generator", "bouc-component-range",
+                              "bouc-not-integer", "bouc-index-range",
+                              "bouc-negative-component", "order-bound-ahat",
+                              "order-bound-before-table"])
+def test_bad_input_is_one_error_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_bouc_lone_index_in_range(capsys):
+    # 11 is the product index of (5, 1) in S3 x C2
+    code, out, _ = run(capsys, "--json", "bouc", "S3", "C2", "11")
+    assert code == 0
+    assert json.loads(out) == json.loads(run(capsys, "--json", "bouc", "S3", "C2", "5,1")[1])

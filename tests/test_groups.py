@@ -8,9 +8,12 @@ import bisetkit.cache as cache
 from bisetkit.catalog import groups_up_to
 from bisetkit.errors import InvalidTable, NotNormal, NotSubgroup, OrderBound
 from bisetkit.groups import (
+    DEFAULT_ORDER_BOUND,
+    FiniteGroup,
     automorphisms,
     center,
     closure,
+    conjugate_members,
     double_cosets,
     is_isomorphic,
     left_cosets,
@@ -93,7 +96,7 @@ def test_from_table_roundtrip():
     assert g.table == d8.table
 
 
-def test_direct_product_identity_and_order():
+def test_product_group_identity_and_order():
     c1 = make_group("cyclic", 1)
     s3 = make_group("symmetric3")
     assert is_isomorphic(product_group(c1, s3), s3) is not None
@@ -103,12 +106,12 @@ def test_direct_product_identity_and_order():
     assert product_group(q8, product_group(d8, c4)).order == 256
 
 
-def test_direct_product_is_klein():
+def test_product_group_is_klein():
     c2 = make_group("cyclic", 2)
     assert is_isomorphic(product_group(c2, c2), make_group("klein4")) is not None
 
 
-def test_direct_product_index_maps():
+def test_product_group_index_maps():
     c4 = make_group("cyclic", 4)
     c2 = make_group("cyclic", 2)
     p = product_group(c4, c2)
@@ -202,7 +205,7 @@ def test_lagrange():
 
 def test_subgroups_order_bound():
     with pytest.raises(OrderBound):
-        subgroups(make_group("cyclic", 8), bound=4)
+        subgroups(make_group("cyclic", DEFAULT_ORDER_BOUND + 1))
 
 
 def test_subgroup_classes_counts():
@@ -215,6 +218,27 @@ def test_subgroup_classes_counts():
     for g in groups_up_to(12):
         if g.is_abelian:
             assert len(subgroup_classes(g)) == len(subgroups(g))
+
+
+def test_subgroup_classes_are_conjugation_orbits():
+    # oracle: conjugate each subgroup by every element of the group
+    small = list(groups_up_to(4))
+    groups = list(groups_up_to(15)) + [product_group(a, b) for i, a in enumerate(small)
+                                       for b in small[i:]]
+    for g in groups:
+        subs = [s.members for s in subgroups(g)]
+        classes = subgroup_classes(g)
+        seen = set()
+        for cls in classes:
+            orbit = {conjugate_members(g, cls.representative.members, x)
+                     for x in range(g.order)}
+            assert set(cls.members) == orbit, g.label
+            assert cls.representative.members == min(orbit) == cls.members[0]
+            assert not seen & orbit
+            seen |= orbit
+        assert seen == set(subs), g.label
+        keys = [(c.representative.order, c.representative.members) for c in classes]
+        assert keys == sorted(keys), g.label
 
 
 def test_subgroup_class_representative_is_least():
@@ -388,5 +412,31 @@ def test_lattice_disk_cache_roundtrip(tmp_path):
         subs2 = subgroups(g2)
         assert [s.members for s in subs2] == [s.members for s in subs]
         assert len(subgroup_classes(g2)) == len(classes)
+    finally:
+        cache.set_cache_dir(str(previous) if previous else None)
+
+
+def test_lattice_miss_writes_one_file_with_classes(tmp_path, monkeypatch):
+    previous = cache.cache_dir()
+    cache.set_cache_dir(str(tmp_path))
+    stores = []
+    store = cache.store_lattice
+    monkeypatch.setattr(cache, "store_lattice", lambda *a: stores.append(a) or store(*a))
+    try:
+        table = make_group("dihedral", 12).table
+        g = FiniteGroup("D12a", table)
+        subgroups(g)
+        subgroup_classes(g)
+        assert len(stores) == 1 and stores[0][3] is not None
+        # a file without classes is a miss, recomputed and written again
+        path = next(tmp_path.glob("*.json"))
+        doc = json.loads(path.read_text())
+        del doc["classes"]
+        path.write_text(json.dumps(doc))
+        g2 = FiniteGroup("D12b", table)
+        assert len(subgroup_classes(g2)) == len(subgroup_classes(g))
+        assert len(stores) == 2
+        assert "classes" in json.loads(path.read_text())
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
     finally:
         cache.set_cache_dir(str(previous) if previous else None)

@@ -8,8 +8,10 @@ of subgroups L <= H x G, each class standing for the transitive biset
 
 where * is the composition-of-relations star product. RB is the shifted
 functor RB_C at C = C1, and L <= H x G has the same member integers as
-L x 1 <= H x G x C1, so compose_transitive is dress.dress_compose_members at
-C1 and compose_oracle is dress.dress_oracle at C1. The oracle builds the
+L x 1 <= H x G x C1. So an RB class is a dress.TripleSubgroup and an RB
+element a dress.DressElement, both with c = C1; compose_transitive is
+dress.dress_compose_members at C1, compose_bisets is dress.bilinear_compose
+over it, and compose_oracle is dress.dress_oracle. The oracle builds the
 actual finite sets and decomposes orbits directly; it is the ground truth the
 formula is tested against.
 """
@@ -20,8 +22,22 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .dress import TripleSubgroup, dress_compose_members, dress_oracle
-from .errors import InterfaceMismatch, MiddleMismatch, NotNormal, NotSubgroup
+from .dress import (
+    DressElement,
+    TripleSubgroup,
+    bilinear_compose,
+    dress_compose_members,
+    dress_identity,
+    dress_oracle,
+    triple_classes,
+)
+from .errors import (
+    FactorMismatch,
+    InterfaceMismatch,
+    MiddleMismatch,
+    NotNormal,
+    NotSubgroup,
+)
 from .groups import (
     FiniteGroup,
     GroupHom,
@@ -35,93 +51,35 @@ from .groups import (
     subgroup,
 )
 
-
-@dataclass(frozen=True)
-class BisetClass:
-    """Conjugacy class of a stabilizer L <= H x G, i.e. a transitive biset."""
-
-    left: FiniteGroup
-    right: FiniteGroup
-    rep: tuple[int, ...]  # canonical class representative, members of H x G
-
-    @property
-    def product(self) -> FiniteGroup:
-        return product_group(self.left, self.right)
-
-    def __repr__(self) -> str:
-        return f"BisetClass(({self.left.label},{self.right.label})/{list(self.rep)})"
+C1 = make_group("cyclic", 1)
 
 
 def biset_class(left: FiniteGroup, right: FiniteGroup,
-                members: Sequence[int]) -> BisetClass:
+                members: Sequence[int]) -> TripleSubgroup:
+    """The class of the transitive biset (left x right)/L, L given by members."""
     p = product_group(left, right)
     ms = sorted(set(members))
     if not is_subgroup_members(p, ms):
         raise NotSubgroup(f"{ms} is not a subgroup of {p.label}")
-    return BisetClass(left, right, canonical_subgroup_rep(p, ms))
+    return TripleSubgroup(left, right, C1, canonical_subgroup_rep(p, ms))
 
 
-@dataclass
-class BurnsideElement:
-    """Sparse rational combination of BisetClass reps over a fixed (H, G)."""
-
-    left: FiniteGroup
-    right: FiniteGroup
-    coeffs: dict[tuple[int, ...], Fraction]
-
-    @property
-    def product(self) -> FiniteGroup:
-        return product_group(self.left, self.right)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, BurnsideElement)
-                and self.left is other.left and self.right is other.right
-                and self.coeffs == other.coeffs)
-
-    def __add__(self, other: "BurnsideElement") -> "BurnsideElement":
-        assert self.left is other.left and self.right is other.right
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            nv = out.get(k, Fraction(0)) + v
-            if nv:
-                out[k] = nv
-            else:
-                out.pop(k, None)
-        return BurnsideElement(self.left, self.right, out)
-
-    def scale(self, c) -> "BurnsideElement":
-        c = Fraction(c)
-        if not c:
-            return BurnsideElement(self.left, self.right, {})
-        return BurnsideElement(self.left, self.right,
-                               {k: c * v for k, v in self.coeffs.items()})
-
-    def __repr__(self) -> str:
-        terms = ", ".join(f"{v}*{list(k)}" for k, v in sorted(self.coeffs.items()))
-        return f"RB({self.left.label},{self.right.label})[{terms}]"
-
-
-def element_of(cls: BisetClass, coeff=1) -> BurnsideElement:
+def element_of(cls: TripleSubgroup, coeff=1) -> DressElement:
     c = Fraction(coeff)
-    return BurnsideElement(cls.left, cls.right, {cls.rep: c} if c else {})
+    return DressElement(cls.g, cls.k, cls.c, {cls.members: c} if c else {})
 
 
-def zero_element(left: FiniteGroup, right: FiniteGroup) -> BurnsideElement:
-    return BurnsideElement(left, right, {})
+def zero_element(left: FiniteGroup, right: FiniteGroup) -> DressElement:
+    return DressElement(left, right, C1, {})
 
 
-def identity_biset(g: FiniteGroup) -> BurnsideElement:
+def identity_biset(g: FiniteGroup) -> DressElement:
     """The class of the diagonal Delta(G) <= G x G with coefficient 1."""
-    p = product_group(g, g)
-    members = sorted(p.encode((a, a)) for a in range(g.order))
-    return element_of(BisetClass(g, g, canonical_subgroup_rep(p, tuple(members))))
+    return dress_identity(g, C1)
 
 
-def all_transitive_classes(left: FiniteGroup, right: FiniteGroup) -> list[BisetClass]:
-    from .groups import subgroup_classes
-    p = product_group(left, right)
-    return [BisetClass(left, right, c.representative.members)
-            for c in subgroup_classes(p)]
+def all_transitive_classes(left: FiniteGroup, right: FiniteGroup) -> list[TripleSubgroup]:
+    return triple_classes(left, right, C1)
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +168,7 @@ def goursat_reconstruct(left: FiniteGroup, right: FiniteGroup,
 
 def elementary_biset(kind: str, *, parent: Optional[FiniteGroup] = None,
                      sub: Optional[Subgroup] = None,
-                     iso: Optional[GroupHom] = None) -> BisetClass:
+                     iso: Optional[GroupHom] = None) -> TripleSubgroup:
     """One of the five elementary classes: ind, res, inf, def, iso.
 
     ind/res take a subgroup (the biset runs between the ambient group and the
@@ -223,7 +181,7 @@ def elementary_biset(kind: str, *, parent: Optional[FiniteGroup] = None,
         left, right = iso.codomain, iso.domain
         p = product_group(left, right)
         members = sorted(p.encode((iso(b), b)) for b in range(right.order))
-        return BisetClass(left, right, canonical_subgroup_rep(p, tuple(members)))
+        return TripleSubgroup(left, right, C1, canonical_subgroup_rep(p, tuple(members)))
     if kind in ("ind", "res"):
         assert sub is not None
         g = sub.parent
@@ -236,7 +194,7 @@ def elementary_biset(kind: str, *, parent: Optional[FiniteGroup] = None,
             pairs = [(i, incl(i)) for i in range(s_grp.order)]
         p = product_group(left, right)
         members = sorted(p.encode(t) for t in pairs)
-        return BisetClass(left, right, canonical_subgroup_rep(p, tuple(members)))
+        return TripleSubgroup(left, right, C1, canonical_subgroup_rep(p, tuple(members)))
     if kind in ("inf", "def"):
         assert parent is not None and sub is not None and sub.parent is parent
         from .groups import is_normal
@@ -251,13 +209,13 @@ def elementary_biset(kind: str, *, parent: Optional[FiniteGroup] = None,
             pairs = [(proj(x), x) for x in range(parent.order)]
         p = product_group(left, right)
         members = sorted(set(p.encode(t) for t in pairs))
-        return BisetClass(left, right, canonical_subgroup_rep(p, tuple(members)))
+        return TripleSubgroup(left, right, C1, canonical_subgroup_rep(p, tuple(members)))
     raise ValueError(f"unknown elementary biset kind {kind!r}")
 
 
-def bouc_decompose(x: BisetClass) -> list[BisetClass]:
+def bouc_decompose(x: TripleSubgroup) -> list[TripleSubgroup]:
     """Five-term word Ind, Inf, Iso(f), Def, Res composing back to x."""
-    gd = goursat_data(x.left, x.right, x.rep)
+    gd = goursat_data(x.g, x.k, x.members)
     ind = elementary_biset("ind", sub=gd.d)
     d_grp, _ = sub_as_group(gd.d)
     c_local = subgroup(d_grp, [gd.d.members.index(v) for v in gd.c.members],
@@ -272,16 +230,16 @@ def bouc_decompose(x: BisetClass) -> list[BisetClass]:
     return [ind, inf, iso, de, res]
 
 
-def recompose(word: Sequence[BisetClass]) -> BurnsideElement:
+def recompose(word: Sequence[TripleSubgroup]) -> DressElement:
     """Left-to-right fold of a word of classes with compose_bisets."""
     if not word:
         raise InterfaceMismatch("empty composition word")
     acc = element_of(word[0])
     for nxt in word[1:]:
-        if acc.right is not nxt.left:
+        if acc.k is not nxt.g:
             raise InterfaceMismatch(
-                f"cannot chain ({acc.left.label},{acc.right.label}) with "
-                f"({nxt.left.label},{nxt.right.label})")
+                f"cannot chain ({acc.g.label},{acc.k.label}) with "
+                f"({nxt.g.label},{nxt.k.label})")
         acc = compose_bisets(acc, element_of(nxt))
     return acc
 
@@ -292,50 +250,43 @@ def recompose(word: Sequence[BisetClass]) -> BurnsideElement:
 
 def compose_transitive(h: FiniteGroup, g: FiniteGroup, k: FiniteGroup,
                        l_members: Sequence[int],
-                       m_members: Sequence[int]) -> BurnsideElement:
+                       m_members: Sequence[int]) -> DressElement:
     """Mackey composition of (HxG)/L with (GxK)/M: the shifted rule at C1."""
-    return BurnsideElement(h, k, dress_compose_members(
-        h, g, k, _trivial_group(), l_members, m_members))
+    return DressElement(h, k, C1, dress_compose_members(h, g, k, C1, l_members, m_members))
 
 
-def compose_bisets(x: BurnsideElement, y: BurnsideElement) -> BurnsideElement:
+def compose_bisets(x: DressElement, y: DressElement) -> DressElement:
     """Bilinear extension of the Mackey formula; middle groups must be identical."""
-    if x.right is not y.left:
-        raise MiddleMismatch(
-            f"middle mismatch: {x.right.label} vs {y.left.label}")
-    h, g, k = x.left, x.right, y.right
-    total = zero_element(h, k)
-    for lrep, a in x.coeffs.items():
-        for mrep, b in y.coeffs.items():
-            piece = compose_transitive(h, g, k, lrep, mrep)
-            total = total + piece.scale(a * b)
-    return total
+    if x.k is not y.g:
+        raise MiddleMismatch(f"middle mismatch: {x.k.label} vs {y.g.label}")
+    if x.c is not C1 or y.c is not C1:
+        raise FactorMismatch("compose_bisets composes elements of RB, at C = C1")
+    h, g, k = x.g, x.k, y.k
+    return bilinear_compose(
+        x, y, lambda lrep, mrep: compose_transitive(h, g, k, lrep, mrep).coeffs)
 
 
-def compose_oracle(x: BisetClass, y: BisetClass) -> BurnsideElement:
+def compose_oracle(x: TripleSubgroup, y: TripleSubgroup) -> DressElement:
     """Set-theoretic composition: build X x Y, quotient by the middle action,
     decompose the resulting (H x K)-set into transitive classes by stabilizers.
     This is the shifted oracle at C1.
     """
-    if x.right is not y.left:
+    if x.k is not y.g:
         raise MiddleMismatch("oracle: middle mismatch")
-    one = _trivial_group()
-    got = dress_oracle(TripleSubgroup(x.left, x.right, one, x.rep),
-                       TripleSubgroup(y.left, y.right, one, y.rep))
-    return BurnsideElement(x.left, y.right, got.coeffs)
+    return dress_oracle(x, y)
 
 
 # ---------------------------------------------------------------------------
 # External product, opposite, hat
 # ---------------------------------------------------------------------------
 
-def external_product(x: BurnsideElement, y: BurnsideElement) -> BurnsideElement:
+def external_product(x: DressElement, y: DressElement) -> DressElement:
     """x times y over (H x H', G x G'); stabilizers multiply componentwise."""
-    h, g = x.left, x.right
-    h2, g2 = y.left, y.right
+    h, g = x.g, x.k
+    h2, g2 = y.g, y.k
     hh = product_group(h, h2)
     gg = product_group(g, g2)
-    phg, ph2g2 = x.product, y.product
+    phg, ph2g2 = product_group(h, g), product_group(h2, g2)
     p = product_group(hh, gg)
     out: dict[tuple[int, ...], Fraction] = {}
     for lrep, a in x.coeffs.items():
@@ -352,34 +303,29 @@ def external_product(x: BurnsideElement, y: BurnsideElement) -> BurnsideElement:
                 out[rep] = nv
             else:
                 out.pop(rep, None)
-    return BurnsideElement(hh, gg, out)
+    return DressElement(hh, gg, C1, out)
 
 
-def opposite(x: BurnsideElement) -> BurnsideElement:
+def opposite(x: DressElement) -> DressElement:
     """Flip (h, g) pairs; an (H, G)-biset becomes a (G, H)-biset."""
-    h, g = x.left, x.right
-    phg = x.product
+    h, g = x.g, x.k
+    phg = product_group(h, g)
     pgh = product_group(g, h)
     out: dict[tuple[int, ...], Fraction] = {}
     for lrep, a in x.coeffs.items():
         members = sorted(pgh.encode(tuple(reversed(phg.decode(m)))) for m in lrep)
         rep = canonical_subgroup_rep(pgh, tuple(members))
         out[rep] = out.get(rep, Fraction(0)) + a
-    return BurnsideElement(g, h, out)
+    return DressElement(g, h, C1, out)
 
 
-def hat_right(x: BurnsideElement) -> BurnsideElement:
+def hat_right(x: DressElement) -> DressElement:
     """View an (G, H)-biset as a (G x H, 1)-biset; stabilizers are unchanged."""
-    one = _trivial_group()
-    pgh = x.product
-    p = product_group(pgh, one)
+    pgh = product_group(x.g, x.k)
+    p = product_group(pgh, C1)
     out: dict[tuple[int, ...], Fraction] = {}
     for lrep, a in x.coeffs.items():
         members = tuple(sorted(p.encode((m, 0)) for m in lrep))
         rep = canonical_subgroup_rep(p, members)
         out[rep] = out.get(rep, Fraction(0)) + a
-    return BurnsideElement(pgh, one, out)
-
-
-def _trivial_group() -> FiniteGroup:
-    return make_group("cyclic", 1)
+    return DressElement(pgh, C1, C1, out)

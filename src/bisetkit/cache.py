@@ -10,45 +10,27 @@ from pathlib import Path
 from typing import Optional
 
 _CACHE_DIR: Optional[Path] = None
-_DISABLED = False
 
 
 def set_cache_dir(path: Optional[str]) -> None:
-    """Override the cache directory; None re-enables the default resolution."""
-    global _CACHE_DIR, _DISABLED
-    if path is None:
-        _CACHE_DIR = None
-        _DISABLED = False
-    elif path == "":
-        _DISABLED = True
-    else:
-        _CACHE_DIR = Path(path)
-        _DISABLED = False
+    """Override the cache directory; None restores the default."""
+    global _CACHE_DIR
+    _CACHE_DIR = None if path is None else Path(path)
 
 
-def cache_dir() -> Optional[Path]:
-    if _DISABLED:
-        return None
-    if _CACHE_DIR is not None:
-        return _CACHE_DIR
-    env = os.environ.get("BISETKIT_CACHE")
-    if env:
-        return Path(env)
-    return Path(".bisetkit-cache")
+def cache_dir() -> Path:
+    return _CACHE_DIR if _CACHE_DIR is not None else Path(".bisetkit-cache")
 
 
-def _path_for(fingerprint: str) -> Optional[Path]:
-    d = cache_dir()
-    if d is None:
-        return None
-    return d / f"{fingerprint}.json"
+def _path_for(fingerprint: str) -> Path:
+    return cache_dir() / f"{fingerprint}.json"
 
 
 def load_lattice(fingerprint: str, order: int):
     """Return (subgroups, class_ids) from disk, or None on any problem,
     a file without class ids included."""
     p = _path_for(fingerprint)
-    if p is None or not p.exists():
+    if not p.exists():
         return None
     try:
         doc = json.loads(p.read_text(encoding="utf-8"))
@@ -63,8 +45,6 @@ def load_lattice(fingerprint: str, order: int):
 
 def store_lattice(fingerprint: str, order: int, subgroups, class_ids) -> None:
     p = _path_for(fingerprint)
-    if p is None:
-        return
     doc = {
         "order": order,
         "hash": fingerprint,

@@ -22,6 +22,7 @@ from .errors import (
     NonRationalValues,
     NotAbelian,
     OrderBound,
+    PreconditionViolated,
 )
 from .groups import (
     FiniteGroup,
@@ -139,10 +140,11 @@ def perm_character_members(g: FiniteGroup, members: Sequence[int]) -> CharacterV
 
 
 def biset_character(x) -> CharacterVector:
-    """Linearization: the permutation character of x on its product group."""
-    from .bisets import BurnsideElement
-    assert isinstance(x, BurnsideElement)
-    p = x.product
+    """Linearization: the permutation character of an RB element x (a
+    DressElement at C = C1) on its product group x.g x x.k."""
+    if x.c.order != 1:
+        raise PreconditionViolated("biset_character needs an element of RB, at C = C1")
+    p = product_group(x.g, x.k)
     out = zero_character(p)
     for rep, coeff in sorted(x.coeffs.items()):
         out = out + perm_character_members(p, rep).scale(coeff)

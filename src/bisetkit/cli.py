@@ -14,14 +14,15 @@ from fractions import Fraction
 
 from . import cache as _cache
 from . import catalog as _catalog
-from .acceptance import run_all
+from .acceptance import CRITERIA, run_all
 from .bisets import (
-    BurnsideElement,
+    biset_class,
     bouc_decompose,
     compose_bisets,
     element_of,
     goursat_data,
     recompose,
+    zero_element,
 )
 from .characters import lin_kernel
 from .dress import (
@@ -31,13 +32,12 @@ from .dress import (
     no_bridge_check,
     triple_subgroup,
 )
-from .errors import BisetkitError, FoundBridge, OrderBound
+from .errors import BisetkitError, OrderBound
 from .green import crc_product_span, get_backend, ideal_span, seeds_kRQ
 from .groups import (
     DEFAULT_ORDER_BOUND,
     FiniteGroup,
     automorphisms,
-    canonical_subgroup_rep,
     closure,
     conjugacy_classes,
     make_group,
@@ -75,7 +75,7 @@ def resolve_group(name: str, bound: int = DEFAULT_ORDER_BOUND) -> FiniteGroup:
         g = _catalog.group_by_name(name)
     except BisetkitError:
         kind = {"C": "cyclic", "D": "dihedral"}.get(name[:1])
-        if kind is None or not name[1:].isdigit():
+        if kind is None or not name[1:].isdecimal():
             raise BisetkitError(f"unknown group name {name!r}") from None
         _check_order(name, int(name[1:]), bound)
         return make_group(kind, int(name[1:]))
@@ -85,7 +85,7 @@ def resolve_group(name: str, bound: int = DEFAULT_ORDER_BOUND) -> FiniteGroup:
 
 def _check_order(name: str, order: int, bound: int) -> None:
     if order > bound:
-        raise OrderBound(f"{name} has order {order}, above --order-bound {bound}")
+        raise OrderBound(f"{name!r} has order {order}, above --order-bound {bound}")
 
 
 def _parse_generators(text: str, p: FiniteGroup, lone_index: bool = False) -> list[int]:
@@ -117,26 +117,50 @@ def _parse_generators(text: str, p: FiniteGroup, lone_index: bool = False) -> li
     return out
 
 
-def _element_to_json(x: BurnsideElement) -> dict:
+def _element_to_json(x: DressElement) -> dict:
     return {
-        "left": x.left.label,
-        "right": x.right.label,
+        "left": x.g.label,
+        "right": x.k.label,
         "terms": [{"num": v.numerator, "den": v.denominator, "class": list(k)}
                   for k, v in sorted(x.coeffs.items())],
     }
 
 
-def _element_from_json(doc: dict, bound: int) -> BurnsideElement:
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _element_from_json(doc, bound: int) -> DressElement:
+    """An RB element from its JSON document; every field is checked, and each
+    class is built through biset_class, which rejects a non-subgroup."""
+    if not (isinstance(doc, dict) and isinstance(doc.get("left"), str)
+            and isinstance(doc.get("right"), str) and isinstance(doc.get("terms"), list)):
+        raise BisetkitError("an element needs string 'left' and 'right' and a list 'terms'")
     left = resolve_group(doc["left"], bound)
     right = resolve_group(doc["right"], bound)
-    p = product_group(left, right)
-    coeffs: dict[tuple[int, ...], Fraction] = {}
+    n = left.order * right.order
+    x = zero_element(left, right)
     for term in doc["terms"]:
-        members = canonical_subgroup_rep(p, tuple(int(x) for x in term["class"]))
-        c = Fraction(int(term["num"]), int(term.get("den", 1)))
-        if c:
-            coeffs[members] = coeffs.get(members, Fraction(0)) + c
-    return BurnsideElement(left, right, {k: v for k, v in coeffs.items() if v})
+        if not isinstance(term, dict):
+            raise BisetkitError(f"term {term!r} is not an object")
+        num, den, members = term.get("num"), term.get("den", 1), term.get("class")
+        if not (_is_int(num) and _is_int(den) and den > 0):
+            raise BisetkitError(f"term {term!r} needs integer 'num' and 'den' > 0")
+        if not (isinstance(members, list)
+                and all(_is_int(m) and 0 <= m < n for m in members)):
+            raise BisetkitError(f"class {members!r} is not a list of integers "
+                                f"in range({n})")
+        x = x + element_of(biset_class(left, right, members), Fraction(num, den))
+    return x
+
+
+def _read_element(path: str, bound: int) -> DressElement:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise BisetkitError(f"cannot read element file {path!r}: {exc}") from None
+    return _element_from_json(doc, bound)
 
 
 def _dress_to_json(x: DressElement) -> dict:
@@ -188,15 +212,13 @@ def cmd_group(args) -> int:
 
 
 def cmd_compose(args) -> int:
-    with open(args.left, encoding="utf-8") as fh:
-        x = _element_from_json(json.load(fh), args.order_bound)
-    with open(args.right, encoding="utf-8") as fh:
-        y = _element_from_json(json.load(fh), args.order_bound)
+    x = _read_element(args.left, args.order_bound)
+    y = _read_element(args.right, args.order_bound)
     mid = resolve_group(args.mid, args.order_bound)
-    if x.right.label != mid.label or y.left.label != mid.label:
+    if x.k.label != mid.label or y.g.label != mid.label:
         raise BisetkitError(
             f"middle group {mid.label} does not match elements "
-            f"({x.right.label} / {y.left.label})")
+            f"({x.k.label} / {y.g.label})")
     result = compose_bisets(x, y)
     _emit(args, _element_to_json(result), repr(result))
     return 0
@@ -206,10 +228,8 @@ def cmd_bouc(args) -> int:
     h = resolve_group(args.left, args.order_bound)
     g = resolve_group(args.right, args.order_bound)
     p = product_group(h, g)
-    members = closure(p, _parse_generators(args.subgroup, p, lone_index=True))
-    rep = canonical_subgroup_rep(p, members)
-    from .bisets import BisetClass
-    cls = BisetClass(h, g, rep)
+    cls = biset_class(h, g, closure(p, _parse_generators(args.subgroup, p, lone_index=True)))
+    rep = cls.members
     gd = goursat_data(h, g, rep)
     word = bouc_decompose(cls)
     ok = recompose(word) == element_of(cls)
@@ -219,15 +239,15 @@ def cmd_bouc(args) -> int:
         "goursat": {"D": list(gd.d.members), "C": list(gd.c.members),
                     "B": list(gd.b.members), "A": list(gd.a.members),
                     "f_images": list(gd.f.images)},
-        "word": [{"left": w.left.label, "right": w.right.label,
-                  "stabilizer": list(w.rep)} for w in word],
+        "word": [{"left": w.g.label, "right": w.k.label,
+                  "stabilizer": list(w.members)} for w in word],
         "roundtrip": ok,
     }
     lines = [f"class of {list(rep)} <= {h.label} x {g.label}",
              f"goursat D={list(gd.d.members)} C={list(gd.c.members)} "
              f"B={list(gd.b.members)} A={list(gd.a.members)}"]
     for tag, w in zip(("Ind", "Inf", "Iso", "Def", "Res"), word):
-        lines.append(f"  {tag}: ({w.left.label}, {w.right.label}) / {list(w.rep)}")
+        lines.append(f"  {tag}: ({w.g.label}, {w.k.label}) / {list(w.members)}")
     lines.append(f"roundtrip: {'ok' if ok else 'MISMATCH'}")
     _emit(args, doc, "\n".join(lines))
     return 0 if ok else 1
@@ -335,8 +355,7 @@ def cmd_counterexample(args) -> int:
 
 
 def cmd_accept(args) -> int:
-    selected = [int(x) for x in args.only.split(",")] if args.only else None
-    results = run_all(selected=selected)
+    results = run_all(selected=args.only)
     if args.json:
         stripped = []
         for r in results:
@@ -346,6 +365,27 @@ def cmd_accept(args) -> int:
             stripped.append(_json_safe(r))
         print(json.dumps(stripped, sort_keys=True))
     return 0 if all(r["passed"] for r in results) else 1
+
+
+def _positive_int(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return n
+
+
+def _criterion_numbers(text: str) -> list[int]:
+    known = {number for number, _, _ in CRITERIA}
+    try:
+        numbers = [int(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a list of integers") from None
+    if not set(numbers) <= known:
+        raise argparse.ArgumentTypeError(f"criteria are numbered {min(known)}-{max(known)}")
+    return numbers
 
 
 def _json_safe(x):
@@ -368,8 +408,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="machine-readable output")
     parser.add_argument("--cache-dir", default=None,
                         help="subgroup lattice cache directory "
-                             "(default: $BISETKIT_CACHE or ./.bisetkit-cache)")
-    parser.add_argument("--order-bound", type=int, default=DEFAULT_ORDER_BOUND,
+                             "(default: ./.bisetkit-cache)")
+    parser.add_argument("--order-bound", type=_positive_int, default=DEFAULT_ORDER_BOUND,
                         help="largest order of a group named on the command line")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -401,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_lin_kernel)
 
     p = sub.add_parser("seeds", help="primitive-character seed counts")
-    p.add_argument("--max-m", type=int, required=True)
+    p.add_argument("--max-m", type=_positive_int, required=True)
     p.set_defaults(fn=cmd_seeds)
 
     p = sub.add_parser("crc-check", help="complex product span rank check")
@@ -430,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_counterexample)
 
     p = sub.add_parser("accept", help="run the acceptance suite")
-    p.add_argument("--only", default=None,
+    p.add_argument("--only", type=_criterion_numbers, default=None,
                    help="comma-separated criterion numbers")
     p.set_defaults(fn=cmd_accept)
 
@@ -444,9 +484,6 @@ def main(argv=None) -> int:
         _cache.set_cache_dir(args.cache_dir)
     try:
         return args.fn(args)
-    except FoundBridge as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except BisetkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -11,9 +11,10 @@ One loop, _shifted_stars, yields these shifted star products; the Mackey
 formula, star_triple and the decomposability search all read them from it.
 
 RB is the case C = C1: L <= H x G and L x 1 <= H x G x C1 have the same
-member integers, so dress_compose_members and dress_oracle at C1 are the
-Mackey formula and the orbit oracle behind bisets.compose_transitive and
-bisets.compose_oracle.
+member integers, so an RB class is a TripleSubgroup and an RB element a
+DressElement, both with c = C1. dress_compose_members and dress_oracle at C1
+are the Mackey formula and the orbit oracle behind bisets.compose_transitive
+and bisets.compose_oracle, and bilinear_compose extends both products.
 
 The module also hosts the factorization machinery: which classes factor
 through strictly smaller middle groups, the kernel-shape pruning that powers
@@ -133,6 +134,23 @@ class DressElement:
                 and self.k is other.k and self.c is other.c
                 and self.coeffs == other.coeffs)
 
+    def __add__(self, other: "DressElement") -> "DressElement":
+        if not (self.g is other.g and self.k is other.k and self.c is other.c):
+            raise FactorMismatch("cannot add elements over different groups")
+        out = dict(self.coeffs)
+        for kk, v in other.coeffs.items():
+            nv = out.get(kk, Fraction(0)) + v
+            if nv:
+                out[kk] = nv
+            else:
+                out.pop(kk, None)
+        return DressElement(self.g, self.k, self.c, out)
+
+    def scale(self, a) -> "DressElement":
+        a = Fraction(a)
+        return DressElement(self.g, self.k, self.c,
+                            {kk: a * v for kk, v in self.coeffs.items()} if a else {})
+
     def __repr__(self) -> str:
         terms = ", ".join(f"{v}*{list(kk)}" for kk, v in sorted(self.coeffs.items()))
         return f"RBC({self.g.label},{self.k.label};{self.c.label})[{terms}]"
@@ -220,18 +238,24 @@ def dress_compose(x: DressElement, y: DressElement) -> DressElement:
     if x.k is not y.g or x.c is not y.c:
         raise FactorMismatch("dress_compose: factors do not chain")
     g, l, k, c = x.g, x.k, y.k, x.c
+    return bilinear_compose(
+        x, y, lambda erep, drep: dress_compose_members(g, l, k, c, erep, drep))
+
+
+def bilinear_compose(x: DressElement, y: DressElement, pair) -> DressElement:
+    """Extend a transitive product bilinearly; ``pair(erep, drep)`` maps two
+    class reps to {class rep: multiplicity}. The caller checks the factors."""
     out: dict[tuple[int, ...], Fraction] = {}
     for erep, a in x.coeffs.items():
         for drep, b in y.coeffs.items():
-            piece = dress_compose_members(g, l, k, c, erep, drep)
             ab = a * b
-            for crep, coeff in piece.items():
+            for crep, coeff in pair(erep, drep).items():
                 nv = out.get(crep, Fraction(0)) + ab * coeff
                 if nv:
                     out[crep] = nv
                 else:
                     out.pop(crep, None)
-    return DressElement(g, k, c, out)
+    return DressElement(x.g, y.k, x.c, out)
 
 
 class _UnionFind:

@@ -29,7 +29,7 @@ from .characters import (
 )
 from .cyclotomic import Cyc
 from .dress import dress_compose_members, dress_identity, triple_classes
-from .errors import CatalogInsufficient, NotDivisor, OrderBound
+from .errors import CatalogInsufficient, NotDivisor, OrderBound, PreconditionViolated
 from .groups import (
     FiniteGroup,
     automorphisms,
@@ -166,7 +166,8 @@ def get_backend(name: str, c: Optional[FiniteGroup] = None):
     if name == "crc":
         return CRCBackend()
     if name == "rbc":
-        assert c is not None, "rbc backend needs the shift group C"
+        if c is None:
+            raise PreconditionViolated("the rbc backend needs the shift group C")
         return RBCBackend(c)
     raise ValueError(f"unknown backend {name!r}")
 

@@ -133,13 +133,8 @@ class FiniteGroup:
     def fingerprint(self) -> str:
         fp = self._derived.get("fingerprint")
         if fp is None:
-            h = hashlib.sha256()
-            h.update(str(self.order).encode())
-            for row in self.table:
-                h.update(bytes(x % 256 for x in row))
-                h.update(b"|")
-                h.update(",".join(map(str, row)).encode())
-            fp = h.hexdigest()
+            # the table is a tuple of int sequences, so its repr is injective
+            fp = hashlib.sha256(repr(self.table).encode()).hexdigest()
             self._derived["fingerprint"] = fp
         return fp
 

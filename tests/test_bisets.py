@@ -100,7 +100,7 @@ def test_ind_then_res_is_free_class():
     ind = elementary_biset("ind", sub=triv)
     r = compose_bisets(element_of(ind), element_of(res))
     assert r.coeffs == {(0,): Fraction(1)}
-    assert r.left is C2 and r.right is C2
+    assert r.g is C2 and r.k is C2
 
 
 def test_full_compose_full():
@@ -161,7 +161,7 @@ def test_inf_then_def_is_identity_of_quotient():
     n = subgroup(C4, [0, 2])
     inf = elementary_biset("inf", parent=C4, sub=n)
     de = elementary_biset("def", parent=C4, sub=n)
-    q = inf.right  # the quotient group object
+    q = inf.k  # the quotient group object
     r = compose_bisets(element_of(de), element_of(inf))
     assert r == identity_biset(q)
 
@@ -235,7 +235,7 @@ def test_bouc_identity_class():
     (rep,) = identity_biset(S3).coeffs
     cls = biset_class(S3, S3, rep)
     word = bouc_decompose(cls)
-    gd = goursat_data(S3, S3, cls.rep)
+    gd = goursat_data(S3, S3, cls.members)
     assert gd.c.members == (0,) and gd.a.members == (0,)
     assert recompose(word) == element_of(cls)
 
@@ -245,7 +245,7 @@ def test_bouc_deflation_case():
     p = product_group(C4, C2)
     members = tuple(sorted(p.encode((a, 0)) for a in range(4)))
     cls = biset_class(C4, C2, members)
-    gd = goursat_data(C4, C2, cls.rep)
+    gd = goursat_data(C4, C2, cls.members)
     assert gd.c.members == gd.d.members  # kernel equals projection
     assert recompose(bouc_decompose(cls)) == element_of(cls)
 
@@ -268,7 +268,7 @@ def test_external_product_point_identity():
     x = element_of(biset_class(C2, C3, [0]))
     point = element_of(biset_class(C1, C1, [0]))
     r = external_product(x, point)
-    assert r.left.order == 2 and r.right.order == 3
+    assert r.g.order == 2 and r.k.order == 3
     assert list(r.coeffs.values()) == [Fraction(1)]
 
 
@@ -277,7 +277,7 @@ def test_external_product_free_classes():
     y = element_of(biset_class(C1, C2, [0]))
     r = external_product(x, y)
     assert r.coeffs == {(0,): Fraction(1)}
-    assert r.left.order == 2 and r.right.order == 2
+    assert r.g.order == 2 and r.k.order == 2
 
 
 def test_external_product_bilinear_scaling():
@@ -306,8 +306,8 @@ def test_external_product_interchange():
 def test_hat_right_diagonal():
     iden = identity_biset(C3)
     h = hat_right(iden)
-    assert h.right.order == 1
-    assert h.left.order == 9
+    assert h.k.order == 1
+    assert h.g.order == 9
     (rep, coeff), = h.coeffs.items()
     assert coeff == 1
     assert len(rep) == 3  # Delta(C3) viewed inside (C3 x C3) x 1
@@ -340,3 +340,26 @@ def test_zero_element_behaviour():
     iden = identity_biset(C2)
     assert compose_bisets(z, iden) == z
     assert (iden + iden.scale(-1)) == z
+
+
+def test_compose_bisets_is_dress_compose_at_c1():
+    # RB elements are DressElements at C = C1, so both bilinear products agree
+    from bisetkit.dress import dress_compose
+    groups = (C1, C2, C3, V4, S3)
+    for h in groups:
+        for g in groups:
+            for k in groups:
+                xs, ys = all_transitive_classes(h, g), all_transitive_classes(g, k)
+                x = sum((element_of(c, Fraction(i + 2, 3 - i % 2)) for i, c in
+                         enumerate(xs[:3])), zero_element(h, g))
+                y = sum((element_of(c, 1 - 2 * i) for i, c in enumerate(ys[-3:])),
+                        zero_element(g, k))
+                assert compose_bisets(x, y) == dress_compose(x, y)
+
+
+def test_compose_bisets_rejects_shifted_elements():
+    from bisetkit.dress import dress_identity
+    from bisetkit.errors import FactorMismatch
+    x = dress_identity(C3, C2)
+    with pytest.raises(FactorMismatch):
+        compose_bisets(x, x)

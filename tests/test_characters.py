@@ -96,7 +96,7 @@ def test_perm_character_values_bounded_by_index():
 
 def test_biset_character_identity_is_diagonal_perm_char():
     x = identity_biset(C2)
-    p = x.product
+    p = product_group(x.g, x.k)
     diag = tuple(sorted(p.encode((a, a)) for a in range(2)))
     assert biset_character(x) == perm_character_members(p, diag)
 

@@ -1,6 +1,10 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bisetkit.cli import main, resolve_group
 from bisetkit.errors import BisetkitError
@@ -194,8 +198,26 @@ def test_cache_dir_flag(tmp_path, capsys):
         cache.set_cache_dir(str(previous) if previous else None)
 
 
-# --json stdout of character-stack commands, pinned byte for byte
+# --json stdout of commands, pinned byte for byte
 GOLDEN_JSON = [
+    (("bouc", "S3", "C2", "1,0;0,1"),
+     '{"class_representative": [0, 1, 2, 3, 6, 7], "goursat": {"A": [0, 1], "B": [0, 1], '
+     '"C": [0, 1, 3], "D": [0, 1, 3], "f_images": [0]}, "left": "S3", "right": "C2", '
+     '"roundtrip": true, "word": [{"left": "S3", "right": "S3!3.1", "stabilizer": [0, 4, 11]}, '
+     '{"left": "S3!3.1", "right": "S3!3.1/3", "stabilizer": [0, 1, 2]}, '
+     '{"left": "S3!3.1/3", "right": "C2!2.1/2", "stabilizer": [0]}, '
+     '{"left": "C2!2.1/2", "right": "C2!2.1", "stabilizer": [0, 1]}, '
+     '{"left": "C2!2.1", "right": "C2", "stabilizer": [0, 3]}]}'),
+    (("bouc", "Q8", "S3", "2,1;1,0"),
+     '{"class_representative": [0, 1, 3, 6, 7, 9, 12, 13, 15, 18, 19, 21, 24, 25, 27, 30, '
+     '31, 33, 36, 37, 39, 42, 43, 45], "goursat": {"A": [0, 1, 3], "B": [0, 1, 3], '
+     '"C": [0, 1, 2, 3, 4, 5, 6, 7], "D": [0, 1, 2, 3, 4, 5, 6, 7], "f_images": [0]}, '
+     '"left": "Q8", "right": "S3", "roundtrip": true, "word": ['
+     '{"left": "Q8", "right": "Q8!8.1", "stabilizer": [0, 9, 18, 27, 36, 45, 54, 63]}, '
+     '{"left": "Q8!8.1", "right": "Q8!8.1/8", "stabilizer": [0, 1, 2, 3, 4, 5, 6, 7]}, '
+     '{"left": "Q8!8.1/8", "right": "S3!3.1/3", "stabilizer": [0]}, '
+     '{"left": "S3!3.1/3", "right": "S3!3.1", "stabilizer": [0, 1, 2]}, '
+     '{"left": "S3!3.1", "right": "S3", "stabilizer": [0, 7, 15]}]}'),
     (("ahat", "--backend", "rq", "--group", "C5"),
      '{"ambient": 7, "backend": "rq", "basis": ["[0, 6, 12, 18, 24]", '
      '"[0, 7, 14, 16, 23]", "[0, 8, 11, 19, 22]"], "group": "C5", "ideal": 4, '
@@ -234,11 +256,46 @@ GOLDEN_JSON = [
 
 
 @pytest.mark.parametrize("argv, expected", GOLDEN_JSON,
-                         ids=["ahat-rq-C5", "ahat-crc-C3", "crc-check-S3-D10",
+                         ids=["bouc-S3-C2", "bouc-Q8-S3", "ahat-rq-C5", "ahat-crc-C3", "crc-check-S3-D10",
                               "lin-kernel-A4", "lin-kernel-C2xC2xC2",
                               "lin-kernel-D12"])
 def test_json_output_golden(capsys, argv, expected):
     code, out, _ = run(capsys, "--json", *argv)
+    assert code == 0
+    assert out == expected + "\n"
+
+
+# element files with non-unit coefficients over S3 x C2, C2 x V4 and V4 x S3
+ELEMENTS = {
+    "b": {"left": "S3", "right": "C2", "terms": [
+        {"num": 3, "den": 2, "class": [0, 1]}, {"num": -1, "den": 1, "class": [0, 5]},
+        {"num": 2, "den": 1, "class": [0, 1, 4, 5]}]},
+    "c": {"left": "C2", "right": "V4", "terms": [
+        {"num": 1, "den": 3, "class": [0, 2]}, {"num": 2, "den": 1, "class": [0, 4]},
+        {"num": 1, "den": 1, "class": [0]}]},
+    "d": {"left": "V4", "right": "S3", "terms": [
+        {"num": 5, "den": 1, "class": [0, 8]}, {"num": -2, "den": 3, "class": [0, 20]}]},
+}
+GOLDEN_COMPOSE = [
+    (("b", "C2", "c"),
+     '{"left": "S3", "right": "V4", "terms": [{"class": [0], "den": 2, "num": 7}, '
+     '{"class": [0, 2], "den": 6, "num": 1}, {"class": [0, 2, 8, 10], "den": 3, "num": 2}, '
+     '{"class": [0, 8], "den": 1, "num": 4}]}'),
+    (("d", "S3", "b"),
+     '{"left": "V4", "right": "C2", "terms": [{"class": [0], "den": 3, "num": -13}, '
+     '{"class": [0, 1], "den": 6, "num": 169}, {"class": [0, 1, 2, 3], "den": 1, "num": 10}, '
+     '{"class": [0, 1, 6, 7], "den": 3, "num": -4}, {"class": [0, 3], "den": 1, "num": -5}, '
+     '{"class": [0, 7], "den": 3, "num": 2}]}'),
+]
+
+
+@pytest.mark.parametrize("names, expected", GOLDEN_COMPOSE, ids=["S3-C2-V4", "V4-S3-C2"])
+def test_compose_json_golden(tmp_path, capsys, names, expected):
+    left, mid, right = names
+    for name in (left, right):
+        (tmp_path / f"{name}.json").write_text(json.dumps(ELEMENTS[name]))
+    code, out, _ = run(capsys, "--json", "compose", "--left", str(tmp_path / f"{left}.json"),
+                       "--mid", mid, "--right", str(tmp_path / f"{right}.json"))
     assert code == 0
     assert out == expected + "\n"
 
@@ -266,6 +323,163 @@ def test_bad_input_is_one_error_line(capsys, argv):
     assert code == 1
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def _c2_element(**term) -> str:
+    return json.dumps({"left": "C2", "right": "C2",
+                       "terms": [{"num": 1, "den": 1, "class": [0], **term}]})
+
+
+# element files for compose over C2 x C2 (order 4); None is a missing file
+BAD_ELEMENT = [
+    ("empty-object", "{}"),
+    ("zero-denominator", _c2_element(den=0)),
+    ("not-json", "not json"),
+    ("missing-file", None),
+    ("class-out-of-range", _c2_element(**{"class": [0, 9]})),
+    ("class-not-closed", _c2_element(**{"class": [0, 1, 2]})),
+    ("fractional-num", _c2_element(num=1.5)),
+    ("class-without-identity", _c2_element(**{"class": [1]})),
+]
+
+
+@pytest.mark.parametrize("text", [t for _, t in BAD_ELEMENT], ids=[i for i, _ in BAD_ELEMENT])
+def test_bad_element_file_is_one_error_line(tmp_path, capsys, text):
+    bad, good = tmp_path / "bad.json", tmp_path / "good.json"
+    if text is not None:
+        bad.write_text(text)
+    good.write_text(_c2_element())
+    code, out, err = run(capsys, "compose", "--left", str(bad), "--mid", "C2",
+                         "--right", str(good))
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+USAGE_ERRORS = [
+    ("seeds", "--max-m", "-3"),
+    ("--order-bound", "0", "group", "info", "C2"),
+    ("accept", "--only", "x"),
+    ("accept", "--only", "99"),
+]
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS,
+                         ids=["seeds-negative", "order-bound-zero", "accept-not-integer",
+                              "accept-unknown-criterion"])
+def test_bad_integer_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+
+
+# Malformed CLI input, built so that no case is valid: it must end in exit 1
+# with exactly one error line, or in an argparse usage error (exit 2).
+_BOUC_VALID = st.tuples(st.integers(0, 5), st.integers(0, 1)).map(lambda t: f"{t[0]},{t[1]}")
+_BOUC_BAD = st.one_of(
+    st.tuples(st.integers(6, 99), st.integers(0, 1)).map(lambda t: f"{t[0]},{t[1]}"),
+    st.tuples(st.integers(0, 5), st.integers(2, 99)).map(lambda t: f"{t[0]},{t[1]}"),
+    st.integers(12, 999).map(str),
+    st.lists(st.integers(0, 1), min_size=3, max_size=4).map(lambda c: ",".join(map(str, c))),
+    st.sampled_from(["x", "1.5", "0x1", ",", "1,,0", "1,0,"]),
+)
+_GENERATORS = st.tuples(st.lists(_BOUC_VALID, max_size=3), _BOUC_BAD, st.integers(0, 3)).map(
+    lambda t: ";".join(t[0][:t[2]] + [t[1]] + t[0][t[2]:]))
+# no group name contains "#", so each of these names is unknown
+_BAD_NAMES = st.one_of(
+    st.text(max_size=6).map(lambda s: s + "#"),
+    st.integers(2, 999).map(lambda n: f"C{n}#"),
+    st.sampled_from(["", "C", "C0", "D3", "prod(C2)", "prod(C2,)", "E8", "C-1", "C²"]),
+)
+_NOT_POSITIVE = st.one_of(
+    st.integers(max_value=0).map(str),
+    st.from_regex(r"[0-9]*[a-z.][0-9a-z.]*", fullmatch=True),
+)
+_NOT_INT = st.one_of(st.none(), st.booleans(), st.floats(allow_nan=False), st.text(max_size=3),
+                     st.lists(st.integers(0, 3), max_size=2))
+_NOT_SUBGROUP = st.lists(st.integers(0, 3), unique=True).filter(
+    lambda c: sorted(c) not in ([0], [0, 1], [0, 2], [0, 3], [0, 1, 2, 3]))
+
+
+def _break_term(term: dict, draw) -> dict:
+    key = draw(st.sampled_from(["num", "den", "class"]))
+    if key == "num":
+        value = draw(_NOT_INT)
+    elif key == "den":
+        value = draw(st.one_of(_NOT_INT, st.integers(max_value=0)))
+    else:
+        value = draw(st.one_of(
+            _NOT_SUBGROUP, st.just(5), st.lists(st.integers(4, 99), min_size=1),
+            st.lists(st.integers(max_value=-1), min_size=1),
+            st.lists(_NOT_INT.filter(lambda v: not isinstance(v, int)), min_size=1)))
+    return {**term, key: value}
+
+
+@st.composite
+def _bad_element_doc(draw):
+    """Text of a malformed element file over C2 x C2."""
+    doc = {"left": "C2", "right": "C2",
+           "terms": [{"num": 1, "den": 1, "class": [0]}, {"num": 2, "den": 3, "class": [0, 1]}]}
+    how = draw(st.sampled_from(["text", "drop", "group", "terms", "term", "field"]))
+    if how == "text":  # a valid document is longer than 30 characters
+        return draw(st.text(max_size=30))
+    if how == "drop":
+        del doc[draw(st.sampled_from(["left", "right", "terms"]))]
+    elif how == "group":
+        doc[draw(st.sampled_from(["left", "right"]))] = draw(st.one_of(
+            _BAD_NAMES, st.none(), st.integers(), st.lists(st.text(max_size=2), max_size=2)))
+    elif how == "terms":
+        doc["terms"] = draw(st.one_of(st.none(), st.integers(), st.text(max_size=3),
+                                      st.dictionaries(st.text(max_size=3), st.integers(),
+                                                      max_size=2)))
+    elif how == "term":
+        doc["terms"][draw(st.integers(0, 1))] = draw(st.one_of(_NOT_INT, st.just([])))
+    else:
+        i = draw(st.integers(0, 1))
+        doc["terms"][i] = _break_term(doc["terms"][i], draw)
+    return json.dumps(doc)
+
+
+@st.composite
+def _malformed_argv(draw):
+    """(argv, text of the element file or None); the file path is ELEMENT."""
+    kind = draw(st.sampled_from(["bouc", "dress", "group", "ints", "element"]))
+    if kind == "bouc":
+        return ["bouc", "S3", "C2", draw(_GENERATORS)], None
+    if kind == "dress":
+        e = draw(st.sampled_from(["1,1", "1,1,2", "2,0,0", "1,1,0;x"]))
+        return ["dress-compose", "C2", "C2", "C2", "C2", "--e", e, "--d", "0,0,0"], None
+    if kind == "group":
+        command = draw(st.sampled_from([["group", "info"], ["lin-kernel"],
+                                        ["ahat", "--backend", "rb", "--group"]]))
+        return command + [draw(_BAD_NAMES)], None
+    if kind == "ints":
+        command = draw(st.sampled_from([["seeds", "--max-m"], ["accept", "--only"]]))
+        bound = ["--order-bound", draw(_NOT_POSITIVE), "group", "info", "C2"]
+        return draw(st.sampled_from([command + [draw(_NOT_POSITIVE)], bound])), None
+    return ["compose", "--left", "ELEMENT", "--mid", "C2", "--right", "ELEMENT"], \
+        draw(_bad_element_doc())
+
+
+@given(case=_malformed_argv())
+@settings(max_examples=200, deadline=None)
+def test_malformed_input_is_rejected(tmp_path_factory, case):
+    argv, text = case
+    if text is not None:
+        path = tmp_path_factory.getbasetemp() / "malformed-element.json"
+        path.write_text(text, encoding="utf-8")
+        argv = [str(path) if a == "ELEMENT" else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2, (argv, err.getvalue())
+            return
+    assert code == 1, (argv, out.getvalue())
+    assert out.getvalue() == ""
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)
 
 
 def test_bouc_lone_index_in_range(capsys):

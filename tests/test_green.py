@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import bisetkit
 from bisetkit.catalog import group_by_name
 from bisetkit.characters import CharacterVector, compose_characters
 from bisetkit.cyclotomic import Cyc
@@ -277,3 +283,22 @@ def test_get_backend_dispatch():
     assert get_backend("rbc", make_group("cyclic", 2)).name == "rbc"
     with pytest.raises(ValueError):
         get_backend("nope")
+
+
+def test_rbc_backend_without_c_survives_optimize(tmp_path):
+    # python -O strips assert statements; the missing-C check must not be one
+    code = textwrap.dedent("""
+        from bisetkit.errors import BisetkitError
+        from bisetkit.green import get_backend
+        try:
+            get_backend("rbc")
+        except BisetkitError:
+            raise SystemExit(0)
+        raise SystemExit("no BisetkitError under -O")
+    """)
+    src = str(Path(bisetkit.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONOPTIMIZE"}
+    env["PYTHONPATH"] = src
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -14,6 +14,13 @@ dress.dress_compose_members at C1, compose_bisets is dress.bilinear_compose
 over it, and compose_oracle is dress.dress_oracle. The oracle builds the
 actual finite sets and decomposes orbits directly; it is the ground truth the
 formula is tested against.
+
+Every class the module constructs (the five elementary bisets, the factors of
+a Bouc word, and the classes of opposite, hat_right and external_product) is
+the class of a subgroup listed by its pairs, built by one helper,
+_graph_class. The Bouc word of L is read off one Goursat pass: Ind and Res
+are the graphs of the inclusions of D = p1(L) and B = p2(L), Inf and Def
+those of the projections onto D/C and B/A, and Iso that of f : B/A -> D/C.
 """
 
 from __future__ import annotations
@@ -35,8 +42,8 @@ from .errors import (
     FactorMismatch,
     InterfaceMismatch,
     MiddleMismatch,
-    NotNormal,
     NotSubgroup,
+    PreconditionViolated,
 )
 from .groups import (
     FiniteGroup,
@@ -83,28 +90,7 @@ def all_transitive_classes(left: FiniteGroup, right: FiniteGroup) -> list[Triple
 
 
 # ---------------------------------------------------------------------------
-# Projections inside a two-factor product
-# ---------------------------------------------------------------------------
-
-def pair_projections(left: FiniteGroup, right: FiniteGroup,
-                     members: Sequence[int]):
-    """(p1, k1, p2, k2) of L <= left x right as sorted member tuples."""
-    p = product_group(left, right)
-    p1, p2 = set(), set()
-    k1, k2 = set(), set()
-    for m in members:
-        a, b = p.decode(m)
-        p1.add(a)
-        p2.add(b)
-        if b == 0:
-            k1.add(a)
-        if a == 0:
-            k2.add(b)
-    return tuple(sorted(p1)), tuple(sorted(k1)), tuple(sorted(p2)), tuple(sorted(k2))
-
-
-# ---------------------------------------------------------------------------
-# Goursat data and the Bouc decomposition
+# Goursat data, graph classes and the Bouc decomposition
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -128,24 +114,22 @@ class GoursatData:
 
 def goursat_data(left: FiniteGroup, right: FiniteGroup,
                  members: Sequence[int]) -> GoursatData:
-    p = product_group(left, right)
-    p1, k1, p2, k2 = pair_projections(left, right, members)
-    d = subgroup(left, p1, check=False)
-    c = subgroup(left, k1, check=False)
-    b = subgroup(right, p2, check=False)
-    a = subgroup(right, k2, check=False)
-    d_grp, d_incl = sub_as_group(d)
-    b_grp, b_incl = sub_as_group(b)
-    c_local = subgroup(d_grp, [d.members.index(x) for x in c.members], check=False)
-    a_local = subgroup(b_grp, [b.members.index(x) for x in a.members], check=False)
-    d_quot, d_proj = quotient_group(d_grp, c_local)
-    b_quot, b_proj = quotient_group(b_grp, a_local)
-    # f(bA) = dC for any (d, b) in L
+    t = TripleSubgroup(left, right, C1, tuple(members))
+    d = subgroup(left, t.proj(0), check=False)
+    c = subgroup(left, t.kern(0), check=False)
+    b = subgroup(right, t.proj(1), check=False)
+    a = subgroup(right, t.kern(1), check=False)
     d_index = {x: i for i, x in enumerate(d.members)}
     b_index = {x: i for i, x in enumerate(b.members)}
+    d_grp, _ = sub_as_group(d)
+    b_grp, _ = sub_as_group(b)
+    d_quot, d_proj = quotient_group(
+        d_grp, subgroup(d_grp, [d_index[x] for x in c.members], check=False))
+    b_quot, b_proj = quotient_group(
+        b_grp, subgroup(b_grp, [b_index[x] for x in a.members], check=False))
+    # f(bA) = dC for any (d, b) in L
     images = [None] * b_quot.order
-    for m in members:
-        dd, bb = p.decode(m)
+    for dd, bb, _ in t.decoded:
         images[b_proj(b_index[bb])] = d_proj(d_index[dd])
     f = GroupHom(b_quot, d_quot, tuple(images))
     return GoursatData(d, c, b, a, f, b_quot, b_proj, d_quot, d_proj)
@@ -166,6 +150,27 @@ def goursat_reconstruct(left: FiniteGroup, right: FiniteGroup,
     return tuple(sorted(out))
 
 
+def _graph_class(left: FiniteGroup, right: FiniteGroup, pairs) -> TripleSubgroup:
+    """The class of the subgroup {(l, r)} of left x right listed by ``pairs``.
+
+    The caller vouches that the pairs form a subgroup (graphs of
+    homomorphisms and images of subgroups under isomorphisms do), so unlike
+    biset_class this runs no subgroup check.
+    """
+    p = product_group(left, right)
+    return TripleSubgroup(left, right, C1,
+                          canonical_subgroup_rep(p, [p.encode(t) for t in pairs]))
+
+
+def _hom_class(hom: GroupHom, image_left: bool) -> TripleSubgroup:
+    """The class of the graph of ``hom``: {(hom(x), x)} <= codomain x domain
+    if image_left, else {(x, hom(x))} <= domain x codomain."""
+    xs = range(hom.domain.order)
+    if image_left:
+        return _graph_class(hom.codomain, hom.domain, ((hom(x), x) for x in xs))
+    return _graph_class(hom.domain, hom.codomain, ((x, hom(x)) for x in xs))
+
+
 def elementary_biset(kind: str, *, parent: Optional[FiniteGroup] = None,
                      sub: Optional[Subgroup] = None,
                      iso: Optional[GroupHom] = None) -> TripleSubgroup:
@@ -177,57 +182,34 @@ def elementary_biset(kind: str, *, parent: Optional[FiniteGroup] = None,
     GroupHom f and yields the class of {(f(b), b)}.
     """
     if kind == "iso":
-        assert iso is not None and iso.is_bijective()
-        left, right = iso.codomain, iso.domain
-        p = product_group(left, right)
-        members = sorted(p.encode((iso(b), b)) for b in range(right.order))
-        return TripleSubgroup(left, right, C1, canonical_subgroup_rep(p, tuple(members)))
+        if iso is None or not iso.is_bijective():
+            raise PreconditionViolated("iso needs a bijective GroupHom")
+        return _hom_class(iso, image_left=True)
     if kind in ("ind", "res"):
-        assert sub is not None
-        g = sub.parent
-        s_grp, incl = sub_as_group(sub)
-        if kind == "ind":
-            left, right = g, s_grp
-            pairs = [(incl(i), i) for i in range(s_grp.order)]
-        else:
-            left, right = s_grp, g
-            pairs = [(i, incl(i)) for i in range(s_grp.order)]
-        p = product_group(left, right)
-        members = sorted(p.encode(t) for t in pairs)
-        return TripleSubgroup(left, right, C1, canonical_subgroup_rep(p, tuple(members)))
+        if sub is None:
+            raise PreconditionViolated(f"{kind} needs a subgroup")
+        _, incl = sub_as_group(sub)
+        return _hom_class(incl, image_left=kind == "ind")
     if kind in ("inf", "def"):
-        assert parent is not None and sub is not None and sub.parent is parent
-        from .groups import is_normal
-        if not is_normal(parent, sub.members):
-            raise NotNormal(f"{kind} needs a normal subgroup")
-        q, proj = quotient_group(parent, sub)
-        if kind == "inf":
-            left, right = parent, q
-            pairs = [(x, proj(x)) for x in range(parent.order)]
-        else:
-            left, right = q, parent
-            pairs = [(proj(x), x) for x in range(parent.order)]
-        p = product_group(left, right)
-        members = sorted(set(p.encode(t) for t in pairs))
-        return TripleSubgroup(left, right, C1, canonical_subgroup_rep(p, tuple(members)))
+        if parent is None or sub is None or sub.parent is not parent:
+            raise PreconditionViolated(f"{kind} needs a subgroup of its parent")
+        _, proj = quotient_group(parent, sub)
+        return _hom_class(proj, image_left=kind == "def")
     raise ValueError(f"unknown elementary biset kind {kind!r}")
 
 
 def bouc_decompose(x: TripleSubgroup) -> list[TripleSubgroup]:
-    """Five-term word Ind, Inf, Iso(f), Def, Res composing back to x."""
+    """Five-term word Ind, Inf, Iso(f), Def, Res composing back to x, read
+    off the Goursat data: the inclusions of D and B, the projections onto
+    D/C and B/A, and f."""
     gd = goursat_data(x.g, x.k, x.members)
-    ind = elementary_biset("ind", sub=gd.d)
-    d_grp, _ = sub_as_group(gd.d)
-    c_local = subgroup(d_grp, [gd.d.members.index(v) for v in gd.c.members],
-                       check=False)
-    inf = elementary_biset("inf", parent=d_grp, sub=c_local)
-    iso = elementary_biset("iso", iso=gd.f)
-    b_grp, _ = sub_as_group(gd.b)
-    a_local = subgroup(b_grp, [gd.b.members.index(v) for v in gd.a.members],
-                       check=False)
-    de = elementary_biset("def", parent=b_grp, sub=a_local)
-    res = elementary_biset("res", sub=gd.b)
-    return [ind, inf, iso, de, res]
+    _, d_incl = sub_as_group(gd.d)
+    _, b_incl = sub_as_group(gd.b)
+    return [_hom_class(d_incl, image_left=True),
+            _hom_class(gd.d_proj, image_left=False),
+            _hom_class(gd.f, image_left=True),
+            _hom_class(gd.b_proj, image_left=True),
+            _hom_class(b_incl, image_left=False)]
 
 
 def recompose(word: Sequence[TripleSubgroup]) -> DressElement:
@@ -282,50 +264,34 @@ def compose_oracle(x: TripleSubgroup, y: TripleSubgroup) -> DressElement:
 
 def external_product(x: DressElement, y: DressElement) -> DressElement:
     """x times y over (H x H', G x G'); stabilizers multiply componentwise."""
-    h, g = x.g, x.k
-    h2, g2 = y.g, y.k
-    hh = product_group(h, h2)
-    gg = product_group(g, g2)
-    phg, ph2g2 = product_group(h, g), product_group(h2, g2)
-    p = product_group(hh, gg)
-    out: dict[tuple[int, ...], Fraction] = {}
+    hh = product_group(x.g, y.g)
+    gg = product_group(x.k, y.k)
+    phg, ph2g2 = product_group(x.g, x.k), product_group(y.g, y.k)
+    out = zero_element(hh, gg)
     for lrep, a in x.coeffs.items():
         l_pairs = [phg.decode(m) for m in lrep]
         for mrep, b in y.coeffs.items():
             m_pairs = [ph2g2.decode(m) for m in mrep]
-            members = sorted(
-                p.encode((hh.encode((u1, u2)), gg.encode((v1, v2))))
-                for u1, v1 in l_pairs for u2, v2 in m_pairs)
-            rep = canonical_subgroup_rep(p, tuple(members))
-            c = a * b
-            nv = out.get(rep, Fraction(0)) + c
-            if nv:
-                out[rep] = nv
-            else:
-                out.pop(rep, None)
-    return DressElement(hh, gg, C1, out)
+            pairs = ((hh.encode((u1, u2)), gg.encode((v1, v2)))
+                     for u1, v1 in l_pairs for u2, v2 in m_pairs)
+            out = out + element_of(_graph_class(hh, gg, pairs), a * b)
+    return out
 
 
 def opposite(x: DressElement) -> DressElement:
     """Flip (h, g) pairs; an (H, G)-biset becomes a (G, H)-biset."""
-    h, g = x.g, x.k
-    phg = product_group(h, g)
-    pgh = product_group(g, h)
-    out: dict[tuple[int, ...], Fraction] = {}
+    phg = product_group(x.g, x.k)
+    out = zero_element(x.k, x.g)
     for lrep, a in x.coeffs.items():
-        members = sorted(pgh.encode(tuple(reversed(phg.decode(m)))) for m in lrep)
-        rep = canonical_subgroup_rep(pgh, tuple(members))
-        out[rep] = out.get(rep, Fraction(0)) + a
-    return DressElement(g, h, C1, out)
+        pairs = (phg.decode(m)[::-1] for m in lrep)
+        out = out + element_of(_graph_class(x.k, x.g, pairs), a)
+    return out
 
 
 def hat_right(x: DressElement) -> DressElement:
     """View an (G, H)-biset as a (G x H, 1)-biset; stabilizers are unchanged."""
     pgh = product_group(x.g, x.k)
-    p = product_group(pgh, C1)
-    out: dict[tuple[int, ...], Fraction] = {}
+    out = zero_element(pgh, C1)
     for lrep, a in x.coeffs.items():
-        members = tuple(sorted(p.encode((m, 0)) for m in lrep))
-        rep = canonical_subgroup_rep(p, members)
-        out[rep] = out.get(rep, Fraction(0)) + a
-    return DressElement(pgh, C1, C1, out)
+        out = out + element_of(_graph_class(pgh, C1, ((m, 0) for m in lrep)), a)
+    return out

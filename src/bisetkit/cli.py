@@ -117,13 +117,13 @@ def _parse_generators(text: str, p: FiniteGroup, lone_index: bool = False) -> li
     return out
 
 
+def _terms(x: DressElement) -> list[dict]:
+    return [{"num": v.numerator, "den": v.denominator, "class": list(k)}
+            for k, v in sorted(x.coeffs.items())]
+
+
 def _element_to_json(x: DressElement) -> dict:
-    return {
-        "left": x.g.label,
-        "right": x.k.label,
-        "terms": [{"num": v.numerator, "den": v.denominator, "class": list(k)}
-                  for k, v in sorted(x.coeffs.items())],
-    }
+    return {"left": x.g.label, "right": x.k.label, "terms": _terms(x)}
 
 
 def _is_int(v) -> bool:
@@ -164,11 +164,7 @@ def _read_element(path: str, bound: int) -> DressElement:
 
 
 def _dress_to_json(x: DressElement) -> dict:
-    return {
-        "g": x.g.label, "k": x.k.label, "c": x.c.label,
-        "terms": [{"num": v.numerator, "den": v.denominator, "class": list(kk)}
-                  for kk, v in sorted(x.coeffs.items())],
-    }
+    return {"g": x.g.label, "k": x.k.label, "c": x.c.label, "terms": _terms(x)}
 
 
 def _emit(args, doc: dict, human: str) -> None:

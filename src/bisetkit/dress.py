@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 from . import catalog as _catalog
@@ -43,7 +44,6 @@ from .errors import (
 from .groups import (
     FiniteGroup,
     GroupHom,
-    Subgroup,
     all_homs,
     all_isomorphisms,
     canonical_subgroup_rep,
@@ -85,16 +85,18 @@ class TripleSubgroup:
     def order(self) -> int:
         return len(self.members)
 
-    def _decoded(self) -> list[tuple[int, int, int]]:
+    @cached_property
+    def decoded(self) -> list[tuple[int, int, int]]:
+        """The members as (g, k, c) triples, decoded once per instance."""
         p = self.triple
         return [p.decode(m) for m in self.members]
 
     def proj(self, i: int) -> tuple[int, ...]:
-        return tuple(sorted({t[i] for t in self._decoded()}))
+        return tuple(sorted({t[i] for t in self.decoded}))
 
     def kern(self, i: int) -> tuple[int, ...]:
         others = [j for j in range(3) if j != i]
-        return tuple(sorted({t[i] for t in self._decoded()
+        return tuple(sorted({t[i] for t in self.decoded
                              if all(t[j] == 0 for j in others)}))
 
     def canonical_rep(self) -> tuple[int, ...]:
@@ -246,11 +248,12 @@ def bilinear_compose(x: DressElement, y: DressElement, pair) -> DressElement:
     """Extend a transitive product bilinearly; ``pair(erep, drep)`` maps two
     class reps to {class rep: multiplicity}. The caller checks the factors."""
     out: dict[tuple[int, ...], Fraction] = {}
+    zero = Fraction(0)
     for erep, a in x.coeffs.items():
         for drep, b in y.coeffs.items():
             ab = a * b
             for crep, coeff in pair(erep, drep).items():
-                nv = out.get(crep, Fraction(0)) + ab * coeff
+                nv = out.get(crep, zero) + ab * coeff
                 if nv:
                     out[crep] = nv
                 else:

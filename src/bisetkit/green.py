@@ -28,7 +28,7 @@ from .characters import (
     rq_cyclic_basis,
 )
 from .cyclotomic import Cyc
-from .dress import dress_compose_members, dress_identity, triple_classes
+from .dress import DressElement, bilinear_compose, dress_compose_members, dress_identity
 from .errors import CatalogInsufficient, NotDivisor, OrderBound, PreconditionViolated
 from .groups import (
     FiniteGroup,
@@ -38,6 +38,7 @@ from .groups import (
     conjugacy_classes,
     make_group,
     product_group,
+    subgroup_classes,
 )
 from .linalg import RowSpace
 
@@ -54,9 +55,6 @@ class CRCBackend:
     def basis_labels(self, h, g) -> list[str]:
         p = product_group(h, g)
         return [f"chi{i}" for i in range(len(character_table(p)))]
-
-    def coord_dim(self, h, g) -> int:
-        return len(conjugacy_classes(product_group(h, g)))
 
     def basis_vector(self, h, g, i) -> list[Cyc]:
         p = product_group(h, g)
@@ -104,14 +102,11 @@ class RBCBackend:
         self.c = c
 
     def basis_labels(self, h, g) -> list[tuple[int, ...]]:
-        return [t.members for t in triple_classes(h, g, self.c)]
-
-    def coord_dim(self, h, g) -> int:
-        return len(self.basis_labels(h, g))
+        return [cls.representative.members
+                for cls in subgroup_classes(product_group(h, g, self.c))]
 
     def basis_vector(self, h, g, i) -> list[Fraction]:
-        n = self.coord_dim(h, g)
-        v = [Fraction(0)] * n
+        v = [Fraction(0)] * len(self.basis_labels(h, g))
         v[i] = Fraction(1)
         return v
 
@@ -120,21 +115,16 @@ class RBCBackend:
         return dress_compose_members(h, g, k, self.c, lrep, mrep)
 
     def compose(self, h, g, k, beta, alpha) -> list[Fraction]:
-        labels_hg = self.basis_labels(h, g)
-        labels_gk = self.basis_labels(g, k)
-        index = {rep: i for i, rep in enumerate(self.basis_labels(h, k))}
-        out = [Fraction(0)] * len(index)
-        for i, bi in enumerate(beta):
-            if not bi:
-                continue
-            for j, aj in enumerate(alpha):
-                if not aj:
-                    continue
-                piece = self.compose_pair(h, g, k, labels_hg[i], labels_gk[j])
-                c = bi * aj
-                for rep, coeff in piece.items():
-                    out[index[rep]] += c * coeff
-        return out
+        """Compose coordinate vectors: the bilinear extension of compose_pair
+        over their nonzero coordinates, read back in basis order."""
+        x = DressElement(h, g, self.c, {rep: b for rep, b
+                                        in zip(self.basis_labels(h, g), beta) if b})
+        y = DressElement(g, k, self.c, {rep: a for rep, a
+                                        in zip(self.basis_labels(g, k), alpha) if a})
+        prod = bilinear_compose(
+            x, y, lambda lrep, mrep: self.compose_pair(h, g, k, lrep, mrep))
+        zero = Fraction(0)
+        return [prod.coeffs.get(rep, zero) for rep in self.basis_labels(h, k)]
 
     def identity(self, g) -> list[Fraction]:
         index = {rep: i for i, rep in enumerate(self.basis_labels(g, g))}
@@ -203,7 +193,7 @@ def _ideal_rowspace(backend, h: FiniteGroup) -> RowSpace:
         raise CatalogInsufficient(
             f"need all groups of order < {h.order}, catalog stops at "
             f"{_catalog.CATALOG_MAX_ORDER}")
-    width = backend.coord_dim(h, h)
+    width = len(backend.basis_vector(h, h, 0))
     space = RowSpace(width)
     seen_rows: set = set()
     for n in range(1, h.order):
@@ -237,18 +227,11 @@ def ideal_span(backend, h: FiniteGroup) -> IdealReport:
     ambient = len(labels)
     assert 0 <= ideal_dim <= ambient, "ideal escaped the ambient module"
     quotient_basis = []
-    probe = RowSpace(space.width)
-    for row in space.pivots.values():
-        probe.add(list(row))
     for i, lab in enumerate(labels):
-        if probe.add(backend.basis_vector(h, h, i)):
+        if space.add(backend.basis_vector(h, h, i)):
             quotient_basis.append(lab)
     return IdealReport(backend.name, h.label, ambient, ideal_dim,
                        ambient - ideal_dim, quotient_basis)
-
-
-def ahat_dim(backend, h: FiniteGroup) -> int:
-    return ideal_span(backend, h).quotient_dim
 
 
 # ---------------------------------------------------------------------------

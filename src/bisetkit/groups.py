@@ -754,12 +754,13 @@ def quotient_group(g: FiniteGroup, n: Subgroup) -> tuple[FiniteGroup, GroupHom]:
     """Quotient by a normal subgroup; cosets ordered by least element."""
     if n.parent is not g:
         raise NotSubgroup("quotient_group: subgroup of a different parent")
-    if not is_normal(g, n.members):
-        raise NotNormal(f"{list(n.members)} is not normal in {g.label}")
+    # only quotients by normal subgroups are stored, so a hit needs no scan
     memo = g._derived.setdefault("quotients", {})
     got = memo.get(n.members)
     if got is not None:
         return got
+    if not is_normal(g, n.members):
+        raise NotNormal(f"{list(n.members)} is not normal in {g.label}")
     cosets = left_cosets(g, n.members)
     cosets.sort(key=lambda c: c[0])
     coset_of = [0] * g.order

@@ -27,12 +27,14 @@ from bisetkit.bisets import (
     recompose,
     zero_element,
 )
+from bisetkit.catalog import groups_up_to
 from bisetkit.errors import InterfaceMismatch, MiddleMismatch, NotNormal
 from bisetkit.groups import (
     automorphisms,
     closure,
     make_group,
     product_group,
+    sub_as_group,
     subgroup,
 )
 
@@ -254,6 +256,62 @@ def test_bouc_roundtrip_small_pairs():
     for h, g in [(C4, C4), (S3, V4), (V4, S3)]:
         for cls in all_transitive_classes(h, g):
             assert recompose(bouc_decompose(cls)) == element_of(cls)
+
+
+def test_bouc_word_matches_public_elementary_bisets():
+    # bouc_decompose builds its factors from the Goursat data directly; the
+    # public constructors, fed the same data, must give the same word, down
+    # to the identity of the subgroup and quotient groups it chains through
+    small = groups_up_to(6)
+    for h in small:
+        for g in small:
+            for cls in all_transitive_classes(h, g):
+                gd = goursat_data(h, g, cls.members)
+                d_grp, _ = sub_as_group(gd.d)
+                b_grp, _ = sub_as_group(gd.b)
+                want = [
+                    elementary_biset("ind", sub=gd.d),
+                    elementary_biset("inf", parent=d_grp,
+                                     sub=subgroup(d_grp, gd.d_proj.kernel_members())),
+                    elementary_biset("iso", iso=gd.f),
+                    elementary_biset("def", parent=b_grp,
+                                     sub=subgroup(b_grp, gd.b_proj.kernel_members())),
+                    elementary_biset("res", sub=gd.b),
+                ]
+                got = bouc_decompose(cls)
+                assert len(got) == len(want)
+                for w, e in zip(got, want):
+                    assert w.g is e.g and w.k is e.k and w.c is e.c
+                    assert w.members == e.members
+
+
+def test_elementary_biset_checks_survive_optimize(tmp_path):
+    # python -O strips assert statements; the precondition checks must not be ones
+    code = textwrap.dedent("""
+        from bisetkit.bisets import elementary_biset
+        from bisetkit.errors import PreconditionViolated
+        from bisetkit.groups import GroupHom, make_group, subgroup
+        c2, c4 = make_group("cyclic", 2), make_group("cyclic", 4)
+        n = subgroup(c4, [0, 2])
+        for check in (lambda: elementary_biset("iso"),
+                      lambda: elementary_biset("iso", iso=GroupHom(c4, c2, (0, 1, 0, 1))),
+                      lambda: elementary_biset("ind"),
+                      lambda: elementary_biset("res", parent=c4),
+                      lambda: elementary_biset("inf", sub=n),
+                      lambda: elementary_biset("def", parent=c4),
+                      lambda: elementary_biset("def", parent=c2, sub=n)):
+            try:
+                check()
+            except PreconditionViolated:
+                continue
+            raise SystemExit("no PreconditionViolated under -O")
+    """)
+    src = str(Path(bisetkit.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONOPTIMIZE"}
+    env["PYTHONPATH"] = src
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_recompose_rejects_empty_and_mismatch():

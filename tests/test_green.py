@@ -11,13 +11,13 @@ import bisetkit
 from bisetkit.catalog import group_by_name
 from bisetkit.characters import CharacterVector, compose_characters
 from bisetkit.cyclotomic import Cyc
+from bisetkit.dress import DressElement, dress_compose
 from bisetkit.errors import CatalogInsufficient, NotDivisor
 from bisetkit.green import (
     RBBackend,
     RBCBackend,
     RQBackend,
     CRCBackend,
-    ahat_dim,
     check_out_iso,
     crc_product_span,
     ell_kernel_dim_from_span,
@@ -100,7 +100,7 @@ def test_seed_counts_and_keys():
 
 def test_seeds_verify_against_ideal():
     for m in range(1, 5):
-        assert ahat_dim(RQBackend(), make_group("cyclic", m)) == \
+        assert ideal_span(RQBackend(), make_group("cyclic", m)).quotient_dim == \
             len(primitive_characters(m))
 
 
@@ -155,9 +155,9 @@ def test_check_out_iso_small():
 
 def test_ahat_rq_values():
     rq = RQBackend()
-    assert ahat_dim(rq, make_group("cyclic", 2)) == 0
-    assert ahat_dim(rq, make_group("cyclic", 4)) == 1
-    assert ahat_dim(rq, group_by_name("S3")) == 0
+    assert ideal_span(rq, make_group("cyclic", 2)).quotient_dim == 0
+    assert ideal_span(rq, make_group("cyclic", 4)).quotient_dim == 1
+    assert ideal_span(rq, group_by_name("S3")).quotient_dim == 0
 
 
 def test_ell_kernel_matches_xn_ideal():
@@ -169,9 +169,9 @@ def test_ell_kernel_matches_xn_ideal():
 def test_ideal_span_confirms_primitive_counts_m9_m10():
     # the direct span computation settles the seed counts where the
     # kernel-trivial degeneracy bites: C9 keeps 4 classes, C10 collapses to 0
-    assert ahat_dim(RQBackend(), make_group("cyclic", 9)) == 4
+    assert ideal_span(RQBackend(), make_group("cyclic", 9)).quotient_dim == 4
     assert len(primitive_characters(9)) == 4
-    assert ahat_dim(RQBackend(), make_group("cyclic", 10)) == 0
+    assert ideal_span(RQBackend(), make_group("cyclic", 10)).quotient_dim == 0
     assert len(primitive_characters(10)) == 0
 
 
@@ -247,6 +247,27 @@ def test_rbc_backend_quotient_contains_twisted_diagonals():
         assert not space.contains(vec)
     rep = ideal_span(backend, h)
     assert rep.quotient_dim > 0
+
+
+@pytest.mark.parametrize("backend", [RBBackend(), RBCBackend(make_group("cyclic", 2))],
+                         ids=["rb", "rbc-C2"])
+def test_backend_compose_matches_dress_compose(backend):
+    # dense coordinate vectors with non-unit, mixed-sign coefficients and some
+    # zeros compose like the DressElements they stand for
+    c2, c3, v4 = make_group("cyclic", 2), make_group("cyclic", 3), make_group("klein4")
+
+    def coords(n, shift):
+        return [Fraction((-1) ** i * ((i + shift) % 4), i % 3 + 1) for i in range(n)]
+
+    for h, g, k in [(c2, c3, v4), (v4, c2, c3), (c3, v4, c2), (c2, c2, c2)]:
+        lab_hg, lab_gk = backend.basis_labels(h, g), backend.basis_labels(g, k)
+        beta, alpha = coords(len(lab_hg), 1), coords(len(lab_gk), 2)
+        x = DressElement(h, g, backend.c, {r: b for r, b in zip(lab_hg, beta) if b})
+        y = DressElement(g, k, backend.c, {r: a for r, a in zip(lab_gk, alpha) if a})
+        want = dress_compose(x, y)
+        got = backend.compose(h, g, k, beta, alpha)
+        assert got == [want.coeffs.get(r, 0) for r in backend.basis_labels(h, k)]
+        assert any(v not in (0, 1) for v in got)
 
 
 def test_backend_identity_laws():

@@ -29,7 +29,6 @@ from .characters import (
     cyclic_subgroups,
     perm_character_members,
 )
-from .cyclotomic import Cyc
 from .dress import (
     DressElement,
     counterexample_check,
@@ -166,7 +165,7 @@ def _primitive_count_oracle(m: int) -> int:
                 continue
             kernel_elts = [i for i in range(len(units))
                            if unit_at[i] % n == 1 % n]
-            if all(chi.value_at_element(i) == Cyc.one() for i in kernel_elts):
+            if all(chi.value_at_element(i) == 1 for i in kernel_elts):
                 primitive = False
                 break
         if primitive:

@@ -3,10 +3,10 @@
 Covers permutation characters, the linearization of Burnside elements,
 Artin-induction coefficients on abelian groups, composition of characters of
 bimodules over a middle group, and full complex character tables of small
-groups. A class function holds CyclotomicNumbers or plain Fractions:
-characters are built over Q(zeta_e), rational-valued ones expose Fraction
-vectors for the linear algebra paths, and the rq backend composes those
-Fraction vectors as they are.
+groups. A class function holds one value per conjugacy class: a Fraction
+where the value is rational and a CyclotomicNumber where it is not, so a
+rational class function is already the Fraction vector that the linear
+algebra and the rq backend use.
 """
 
 from __future__ import annotations
@@ -15,12 +15,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .cyclotomic import Cyc
+from .cyclotomic import Cyc, sort_key
 from .errors import (
     CharacterTableError,
+    FactorMismatch,
     MiddleMismatch,
     NonRationalValues,
     NotAbelian,
+    NotSubgroup,
     OrderBound,
     PreconditionViolated,
 )
@@ -51,15 +53,18 @@ CHARACTER_TABLE_BOUND = 64
 class CharacterVector:
     """A class function on ``group``; one value per conjugacy class.
 
-    Values are Cyc, or Fraction for the rational class functions of rq."""
+    A value is a Fraction when it is rational and a Cyc when it is not."""
 
     group: FiniteGroup
     values: tuple
 
     def __post_init__(self):
-        assert len(self.values) == len(conjugacy_classes(self.group))
+        if len(self.values) != len(conjugacy_classes(self.group)):
+            raise PreconditionViolated(
+                f"{len(self.values)} values for {len(conjugacy_classes(self.group))} "
+                f"classes of {self.group.label}")
 
-    def value_at_element(self, a: int) -> Cyc:
+    def value_at_element(self, a: int):
         return self.values[class_index_map(self.group)[a]]
 
     def __eq__(self, other) -> bool:
@@ -67,12 +72,12 @@ class CharacterVector:
                 and all(a == b for a, b in zip(self.values, other.values)))
 
     def __add__(self, other: "CharacterVector") -> "CharacterVector":
-        assert self.group is other.group
+        _same_group(self, other)
         return CharacterVector(self.group,
                                tuple(a + b for a, b in zip(self.values, other.values)))
 
     def __sub__(self, other: "CharacterVector") -> "CharacterVector":
-        assert self.group is other.group
+        _same_group(self, other)
         return CharacterVector(self.group,
                                tuple(a - b for a, b in zip(self.values, other.values)))
 
@@ -83,29 +88,37 @@ class CharacterVector:
         return not any(self.values)
 
     def is_rational(self) -> bool:
-        return all(v.is_rational() for v in self.values)
+        return not any(isinstance(v, Cyc) for v in self.values)
 
     def rational_values(self) -> tuple[Fraction, ...]:
         if not self.is_rational():
             raise NonRationalValues("character has irrational values")
-        return tuple(v.rational() for v in self.values)
+        return self.values
 
     def degree(self) -> Fraction:
-        return self.values[0].rational()
+        if isinstance(self.values[0], Cyc):
+            raise NonRationalValues("class function has an irrational degree")
+        return self.values[0]
 
     def __repr__(self) -> str:
         return f"Char({self.group.label}, {list(self.values)})"
 
 
+def _same_group(a: CharacterVector, b: CharacterVector) -> None:
+    if a.group is not b.group:
+        raise FactorMismatch(
+            f"class functions on {a.group.label} and {b.group.label}")
+
+
 def zero_character(g: FiniteGroup) -> CharacterVector:
-    return CharacterVector(g, (Cyc.zero(),) * len(conjugacy_classes(g)))
+    return CharacterVector(g, (Fraction(0),) * len(conjugacy_classes(g)))
 
 
-def inner_product(a: CharacterVector, b: CharacterVector) -> Cyc:
+def inner_product(a: CharacterVector, b: CharacterVector):
     """<a, b> = (1/|G|) sum |class| a(g) conj(b(g))."""
-    assert a.group is b.group
+    _same_group(a, b)
     g = a.group
-    total = Cyc.zero()
+    total = Fraction(0)
     for cls, va, vb in zip(conjugacy_classes(g), a.values, b.values):
         if va and vb:
             total = total + va * vb.conjugate() * len(cls)
@@ -118,7 +131,8 @@ def inner_product(a: CharacterVector, b: CharacterVector) -> Cyc:
 
 def perm_character(g: FiniteGroup, c: Subgroup) -> CharacterVector:
     """Character of the action on G/C: value at x = #fixed cosets."""
-    assert c.parent is g
+    if c.parent is not g:
+        raise NotSubgroup(f"perm_character: the subgroup is not one of {g.label}")
     vals = []
     from .groups import left_cosets
     cosets = left_cosets(g, c.members)
@@ -131,7 +145,7 @@ def perm_character(g: FiniteGroup, c: Subgroup) -> CharacterVector:
             r = cs[0]
             if t[t[inv[r]][x]][r] in mset:
                 fixed += 1
-        vals.append(Cyc.from_rational(fixed))
+        vals.append(Fraction(fixed))
     return CharacterVector(g, tuple(vals))
 
 
@@ -244,8 +258,7 @@ def compose_characters(tau_m: CharacterVector, tau_n: CharacterVector,
 
         tau(h, k) = (1/|G|) sum over g of tau_m(h, g) tau_n(g, k).
 
-    tau_m lives on H x G and tau_n on G x K; the result lives on H x K and
-    holds the scalar type of the inputs (Cyc, or Fraction for rq).
+    tau_m lives on H x G and tau_n on G x K; the result lives on H x K.
     """
     phg = product_group(h, g)
     pgk = product_group(g, k)
@@ -256,7 +269,7 @@ def compose_characters(tau_m: CharacterVector, tau_n: CharacterVector,
     idx_n = class_index_map(pgk)
     vals = []
     inv_g = Fraction(1, g.order)
-    zero = type(tau_m.values[0])()
+    zero = Fraction(0)
     for cls in conjugacy_classes(phk):
         hh, kk = phk.decode(cls[0])
         acc = zero
@@ -304,14 +317,15 @@ def linear_characters(g: FiniteGroup) -> list[CharacterVector]:
 def induced_character(g: FiniteGroup, s: Subgroup, lam: CharacterVector) -> CharacterVector:
     """Induction of a character of the subgroup s (given on sub_as_group(s))."""
     s_grp, incl = sub_as_group(s)
-    assert lam.group is s_grp
+    if lam.group is not s_grp:
+        raise PreconditionViolated("induced_character needs a character of sub_as_group(s)")
     local = {m: i for i, m in enumerate(s.members)}
     t, inv = g.table, g.inv
     vals = []
     scale = Fraction(1, len(s.members))
     for cls in conjugacy_classes(g):
         x = cls[0]
-        acc = Cyc.zero()
+        acc = Fraction(0)
         for r in range(g.order):
             y = t[t[inv[r]][x]][r]
             li = local.get(y)
@@ -324,7 +338,7 @@ def induced_character(g: FiniteGroup, s: Subgroup, lam: CharacterVector) -> Char
 
 
 def _char_sort_key(chi: CharacterVector, e: int):
-    return (chi.degree(), tuple(v.sort_key(e) for v in chi.values))
+    return (chi.degree(), tuple(sort_key(v, e) for v in chi.values))
 
 
 def character_table(g: FiniteGroup) -> list[CharacterVector]:
@@ -358,10 +372,10 @@ def character_table(g: FiniteGroup) -> list[CharacterVector]:
                 red = red - chi.scale(m)
         if red.is_zero():
             return
-        if inner_product(red, red) == Cyc.one():
+        if inner_product(red, red) == 1:
             if red.degree() < 0:
                 red = red.scale(-1)
-            key = tuple(v.sort_key(e) for v in red.values)
+            key = tuple(sort_key(v, e) for v in red.values)
             if key not in seen_keys:
                 seen_keys.add(key)
                 irreducibles.append(red)
@@ -389,8 +403,7 @@ def character_table(g: FiniteGroup) -> list[CharacterVector]:
         raise CharacterTableError(f"degree equation fails for {g.label}")
     for i, a in enumerate(irreducibles):
         for j, b in enumerate(irreducibles):
-            expect = Cyc.one() if i == j else Cyc.zero()
-            if inner_product(a, b) != expect:
+            if inner_product(a, b) != (1 if i == j else 0):
                 raise CharacterTableError(
                     f"orthogonality fails for {g.label} at ({i},{j})")
     irreducibles.sort(key=lambda c: _char_sort_key(c, e))
@@ -407,7 +420,7 @@ def lin_kernel(g: FiniteGroup) -> list[list[Fraction]]:
     if g.order > CHARACTER_TABLE_BOUND:
         raise OrderBound(f"lin_kernel beyond bound: {g.order}")
     classes = subgroup_classes(g)
-    rows = [perm_character(g, cls.representative).rational_values() for cls in classes]
+    rows = [perm_character(g, cls.representative).values for cls in classes]
     # kernel vectors c with c^T rows = 0: the nullspace of the transpose
     space = RowSpace(len(classes))
     for j in range(len(rows[0])):

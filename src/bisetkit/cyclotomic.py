@@ -2,20 +2,18 @@
 
 A CyclotomicNumber stores rational coordinates over the power basis
 1, z, ..., z^(phi(e)-1) of Q(zeta_e), reduced modulo the e-th cyclotomic
-polynomial. Mixed conductors promote to the least common multiple. Rationals
-embed with conductor 1. Division inverts modulo the cyclotomic polynomial,
-which is irreducible, so every nonzero element is a unit.
+polynomial. Mixed conductors promote to the least common multiple. A rational
+value is a Fraction and never a CyclotomicNumber: every operation whose result
+is rational returns a Fraction, and int or Fraction operands enter the
+coordinates as they are. Division inverts modulo the cyclotomic polynomial,
+which is irreducible, so every CyclotomicNumber is a unit.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
-
-
-def _lcm(a: int, b: int) -> int:
-    return a // gcd(a, b) * b
+from math import gcd, lcm
 
 
 @lru_cache(maxsize=None)
@@ -57,39 +55,23 @@ def _power_reductions(e: int) -> tuple[tuple[Fraction, ...], ...]:
 
 
 class CyclotomicNumber:
-    """An element of Q(zeta_e) with exact rational power-basis coordinates.
-
-    ``CyclotomicNumber()`` is zero, as ``Fraction()`` is."""
+    """An irrational element of Q(zeta_e) with exact rational power-basis
+    coordinates; some coordinate after the first is nonzero."""
 
     __slots__ = ("conductor", "coords")
 
-    def __init__(self, conductor: int = 1, coords=(0,)):
+    def __init__(self, conductor: int, coords):
         self.conductor = conductor
-        self.coords = tuple(Fraction(c) for c in coords)
+        self.coords = tuple(coords)
         assert len(self.coords) == _phi_degree(conductor)
 
-    # -- constructors --------------------------------------------------
-
     @staticmethod
-    def from_rational(q) -> "CyclotomicNumber":
-        return CyclotomicNumber(1, (Fraction(q),))
-
-    @staticmethod
-    def zero() -> "CyclotomicNumber":
-        return CyclotomicNumber(1, (Fraction(0),))
-
-    @staticmethod
-    def one() -> "CyclotomicNumber":
-        return CyclotomicNumber(1, (Fraction(1),))
-
-    @staticmethod
-    def root_of_unity(e: int, k: int = 1) -> "CyclotomicNumber":
-        """zeta_e^k."""
+    def root_of_unity(e: int, k: int = 1):
+        """zeta_e^k, a Fraction when it is +1 or -1."""
         k %= e
         g = gcd(k, e) if k else e
         e2, k2 = e // g, k // g if k else 0
-        red = _power_reductions(e2)
-        return CyclotomicNumber(e2, red[k2])
+        return _make(e2, _power_reductions(e2)[k2])
 
     # -- promotion -------------------------------------------------------
 
@@ -101,18 +83,19 @@ class CyclotomicNumber:
         return _power_map(self.coords, f, f // e)
 
     def _pair(self, other: "CyclotomicNumber"):
-        e = _lcm(self.conductor, other.conductor)
+        e = lcm(self.conductor, other.conductor)
         return self.promote(e), other.promote(e)
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        other = _coerce(other)
-        if self.conductor == other.conductor:
+        if isinstance(other, CyclotomicNumber):
+            a, b = self._pair(other)
+            return _make(a.conductor, [x + y for x, y in zip(a.coords, b.coords)])
+        if isinstance(other, _RATIONAL):
             return CyclotomicNumber(self.conductor,
-                                    tuple(a + b for a, b in zip(self.coords, other.coords)))
-        a, b = self._pair(other)
-        return a + b
+                                    (self.coords[0] + other,) + self.coords[1:])
+        return NotImplemented
 
     __radd__ = __add__
 
@@ -120,19 +103,18 @@ class CyclotomicNumber:
         return CyclotomicNumber(self.conductor, tuple(-c for c in self.coords))
 
     def __sub__(self, other):
-        return self + (-_coerce(other))
+        return self + (-other)
 
     def __rsub__(self, other):
-        return _coerce(other) - self
+        return -self + other
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if other.conductor == 1:
-            q = other.coords[0]
-            return CyclotomicNumber(self.conductor, tuple(c * q for c in self.coords))
-        if self.conductor == 1:
-            q = self.coords[0]
-            return CyclotomicNumber(other.conductor, tuple(c * q for c in other.coords))
+        if isinstance(other, _RATIONAL):
+            if not other:
+                return Fraction(0)
+            return CyclotomicNumber(self.conductor, tuple(c * other for c in self.coords))
+        if not isinstance(other, CyclotomicNumber):
+            return NotImplemented
         a, b = self._pair(other)
         e = a.conductor
         d = _phi_degree(e)
@@ -148,11 +130,7 @@ class CyclotomicNumber:
     __rmul__ = __mul__
 
     def inverse(self) -> "CyclotomicNumber":
-        if not self:
-            raise ZeroDivisionError("inverse of zero cyclotomic number")
         e = self.conductor
-        if e == 1:
-            return CyclotomicNumber(1, (1 / self.coords[0],))
         # extended gcd of self (as a polynomial) with Phi_e
         a = list(self.coords)
         b = list(cyclotomic_polynomial(e))
@@ -171,65 +149,59 @@ class CyclotomicNumber:
             s1, s0 = s0, s_next
 
     def __truediv__(self, other):
-        other = _coerce(other)
-        if other.conductor == 1:
-            q = other.coords[0]
-            if not q:
-                raise ZeroDivisionError
-            return CyclotomicNumber(self.conductor, tuple(c / q for c in self.coords))
-        a, b = self._pair(other)
-        return a * b.inverse()
+        if isinstance(other, _RATIONAL):
+            return CyclotomicNumber(self.conductor, tuple(c / other for c in self.coords))
+        if not isinstance(other, CyclotomicNumber):
+            return NotImplemented
+        return self * other.inverse()
 
     def __rtruediv__(self, other):
-        return _coerce(other) / self
+        return self.inverse() * other
 
     def conjugate(self) -> "CyclotomicNumber":
         """Complex conjugation, zeta -> zeta^(e-1)."""
         e = self.conductor
-        if e <= 2:
-            return self
         return _power_map(self.coords, e, e - 1)
 
     # -- predicates ----------------------------------------------------
 
     def __bool__(self) -> bool:
-        return any(self.coords)
+        return True
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, (CyclotomicNumber, int, Fraction)):
-            return NotImplemented
-        other = _coerce(other)
-        if self.conductor == other.conductor:
-            return self.coords == other.coords
-        a, b = self._pair(other)
-        return a.coords == b.coords
+        if isinstance(other, CyclotomicNumber):
+            a, b = self._pair(other)
+            return a.coords == b.coords
+        if isinstance(other, _RATIONAL):
+            return False
+        return NotImplemented
 
     __hash__ = None  # conductor is not canonical; compare via ==
 
-    def is_rational(self) -> bool:
-        return not any(self.coords[1:])
-
-    def rational(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"{self!r} is not rational")
-        return self.coords[0]
-
-    def sort_key(self, e: int):
-        return self.promote(e).coords
-
     def __repr__(self) -> str:
-        if self.is_rational():
-            return f"Cyc({self.coords[0]})"
         return f"Cyc(e={self.conductor}, {[str(c) for c in self.coords]})"
 
 
-def _coerce(x) -> CyclotomicNumber:
-    if isinstance(x, CyclotomicNumber):
-        return x
-    return CyclotomicNumber.from_rational(x)
+_RATIONAL = (int, Fraction)
 
 
-def _power_map(coords, f: int, k: int) -> CyclotomicNumber:
+def sort_key(v, e: int) -> tuple:
+    """Coordinates of a Fraction or a CyclotomicNumber over the power basis
+    of Q(zeta_e); e must be a multiple of its conductor."""
+    if isinstance(v, CyclotomicNumber):
+        return v.promote(e).coords
+    return (v,) + (Fraction(0),) * (_phi_degree(e) - 1)
+
+
+def _make(e: int, coords):
+    """sum coords[i] zeta_e^i over the power basis: coords[0] when every
+    other coordinate is zero, else a CyclotomicNumber."""
+    if any(coords[1:]):
+        return CyclotomicNumber(e, coords)
+    return coords[0]
+
+
+def _power_map(coords, f: int, k: int):
     """sum_i coords[i] zeta_f^(i k) over the power basis of Q(zeta_f)."""
     red = _power_reductions(f)
     d = _phi_degree(f)
@@ -240,10 +212,10 @@ def _power_map(coords, f: int, k: int) -> CyclotomicNumber:
             for j in range(d):
                 if row[j]:
                     out[j] += c * row[j]
-    return CyclotomicNumber(f, out)
+    return _make(f, out)
 
 
-def _reduce(e: int, poly: list[Fraction]) -> CyclotomicNumber:
+def _reduce(e: int, poly: list[Fraction]):
     """sum_k poly[k] z^k reduced modulo Phi_e; needs len(poly) <= 2e + 1."""
     red = _power_reductions(e)
     d = _phi_degree(e)
@@ -255,7 +227,7 @@ def _reduce(e: int, poly: list[Fraction]) -> CyclotomicNumber:
             for j in range(d):
                 if row[j]:
                     out[j] += ck * row[j]
-    return CyclotomicNumber(e, out)
+    return _make(e, out)
 
 
 def _poly_divmod(num: list[Fraction], den: list[Fraction]):

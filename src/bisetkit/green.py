@@ -8,7 +8,9 @@ and the quotient dimension falls out of exact rank computations.
 
 Backends: rb (double Burnside), rq (rational representations in the Artin
 basis), crc (complex representations by irreducible characters), rbc (the
-Yoneda-Dress shift of rb at a fixed group C).
+Yoneda-Dress shift of rb at a fixed group C). rq and crc share one
+composition of class functions; rq's basis vectors are permutation
+characters, whose values are Fractions.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from .characters import (
     perm_character_members,
     rq_cyclic_basis,
 )
-from .cyclotomic import Cyc
 from .dress import DressElement, bilinear_compose, dress_compose_members, dress_identity
 from .errors import CatalogInsufficient, NotDivisor, OrderBound, PreconditionViolated
 from .groups import (
@@ -56,25 +57,25 @@ class CRCBackend:
         p = product_group(h, g)
         return [f"chi{i}" for i in range(len(character_table(p)))]
 
-    def basis_vector(self, h, g, i) -> list[Cyc]:
+    def basis_vector(self, h, g, i) -> list:
         p = product_group(h, g)
         return list(character_table(p)[i].values)
 
     def compose(self, h, g, k, beta, alpha) -> list:
-        """Compose class-function coordinates; the result keeps their scalar type."""
+        """Compose class-function coordinates; rational values stay Fractions."""
         tm = CharacterVector(product_group(h, g), tuple(beta))
         tn = CharacterVector(product_group(g, k), tuple(alpha))
         return list(compose_characters(tm, tn, h, g, k).values)
 
-    def identity(self, g) -> list[Cyc]:
+    def identity(self, g) -> list[Fraction]:
         p = product_group(g, g)
         diag = tuple(sorted(p.encode((a, a)) for a in range(g.order)))
         return list(perm_character_members(p, diag).values)
 
 
 class RQBackend(CRCBackend):
-    """kR_Q in the Artin basis. Coordinates are the rational values of the
-    class functions, kept as Fractions, so composition is the crc one over Q."""
+    """kR_Q in the Artin basis. Coordinates are the values of permutation
+    characters, all Fractions, so composition is the crc one over Q."""
 
     name = "rq"
 
@@ -85,12 +86,7 @@ class RQBackend(CRCBackend):
     def basis_vector(self, h, g, i) -> list[Fraction]:
         p = product_group(h, g)
         rep = self.basis_labels(h, g)[i]
-        return list(perm_character_members(p, rep).rational_values())
-
-    def identity(self, g) -> list[Fraction]:
-        p = product_group(g, g)
-        diag = tuple(sorted(p.encode((a, a)) for a in range(g.order)))
-        return list(perm_character_members(p, diag).rational_values())
+        return list(perm_character_members(p, rep).values)
 
 
 class RBCBackend:
@@ -415,7 +411,7 @@ def ell_kernel_dim_from_span(h: FiniteGroup) -> int:
     p = product_group(h, h)
     diags = _diagonal_reps(h)
     for rep in diags:
-        space.add(list(perm_character_members(p, rep).rational_values()))
+        space.add(list(perm_character_members(p, rep).values))
     return ideal_rank + len(diags) - space.rank
 
 

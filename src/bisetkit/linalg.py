@@ -1,8 +1,8 @@
 """Exact Gaussian elimination over any field-like scalar type.
 
 Scalars need +, -, *, 1 / x, and bool() as a nonzero test.
-Used with Fraction for rational ranks and kernels and with CyclotomicNumber
-for complex character spans. Pivoting is left-to-right first-nonzero, so all
+Used with Fraction for rational ranks and kernels, and with rows mixing
+Fractions and CyclotomicNumbers for complex character spans. Pivoting is left-to-right first-nonzero, so all
 results are deterministic.
 """
 

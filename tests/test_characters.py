@@ -1,3 +1,5 @@
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -17,7 +19,7 @@ from bisetkit.bisets import (
     identity_biset,
     zero_element,
 )
-from bisetkit.catalog import groups_up_to
+from bisetkit.catalog import entries, groups_up_to
 from bisetkit.characters import (
     artin_coefficients,
     biset_character,
@@ -32,7 +34,7 @@ from bisetkit.characters import (
     rq_cyclic_basis,
     zero_character,
 )
-from bisetkit.cyclotomic import Cyc
+from bisetkit.cyclotomic import Cyc, sort_key
 from bisetkit.errors import NonRationalValues, NotAbelian
 from bisetkit.groups import (
     class_index_map,
@@ -80,7 +82,7 @@ def test_perm_character_s3_transposition():
         expected.append(sum(
             1 for cs in cosets
             if S3.mul(S3.mul(S3.inverse(cs[0]), x), cs[0]) in cmem))
-    assert [v.rational() for v in pc.values] == expected
+    assert list(pc.values) == expected
     assert expected == [3, 0, 1]
 
 
@@ -90,8 +92,8 @@ def test_perm_character_values_bounded_by_index():
             pc = perm_character(g, cls.representative)
             index = g.order // cls.representative.order
             for v in pc.values:
-                q = v.rational()
-                assert q.denominator == 1 and 0 <= q <= index
+                assert type(v) is Fraction
+                assert v.denominator == 1 and 0 <= v <= index
 
 
 def test_biset_character_identity_is_diagonal_perm_char():
@@ -278,6 +280,56 @@ def test_character_table_checks_survive_optimize(tmp_path):
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
+def test_character_checks_survive_optimize(tmp_path):
+    # each precondition of the class-function arithmetic raises a typed error
+    # under python -O, where an assert would be stripped
+    code = textwrap.dedent("""
+        from fractions import Fraction
+        import bisetkit.characters as ch
+        from bisetkit.errors import FactorMismatch, NotSubgroup, PreconditionViolated
+        from bisetkit.groups import closure, make_group, subgroup
+        c2, c3 = make_group("cyclic", 2), make_group("cyclic", 3)
+        s3 = make_group("symmetric3")
+        a, b = ch.zero_character(c2), ch.zero_character(c3)
+        s = subgroup(s3, closure(s3, [1]))
+        cases = [
+            (PreconditionViolated, lambda: ch.CharacterVector(c3, (Fraction(1),))),
+            (PreconditionViolated, lambda: ch.induced_character(s3, s, b)),
+            (FactorMismatch, lambda: a + b),
+            (FactorMismatch, lambda: a - b),
+            (FactorMismatch, lambda: ch.inner_product(a, b)),
+            (NotSubgroup, lambda: ch.perm_character(c3, subgroup(s3, [0]))),
+        ]
+        for i, (err, fn) in enumerate(cases):
+            try:
+                fn()
+            except err:
+                continue
+            raise SystemExit(f"case {i}: no {err.__name__} under -O")
+    """)
+    src = str(Path(bisetkit.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONOPTIMIZE"}
+    env["PYTHONPATH"] = src
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+# sha256 of the sort_key coordinates of every catalog group's character table,
+# in catalog and table order, taken before rationals left Cyc
+CATALOG_TABLES_SHA256 = "2663303cf9e077d88a51c11f26b1469f464d111355c7ddd49f601f5c322c10f2"
+
+
+def test_catalog_character_tables_golden():
+    doc = []
+    for entry in entries():
+        g = entry.build()
+        doc.append([entry.name, [[[str(c) for c in sort_key(v, g.exponent)]
+                                  for v in chi.values] for chi in character_table(g)]])
+    digest = hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+    assert digest == CATALOG_TABLES_SHA256
+
+
 def test_a4_has_cube_root_values():
     a4 = make_group("alternating4")
     tab = character_table(a4)
@@ -285,7 +337,7 @@ def test_a4_has_cube_root_values():
     linear_irrational = [chi for chi in tab
                          if chi.degree() == 1 and not chi.is_rational()]
     assert len(linear_irrational) == 2
-    vals = {str(v.promote(3).coords) for chi in linear_irrational
+    vals = {str(sort_key(v, 3)) for chi in linear_irrational
             for v in chi.values}
     assert str(omega.coords) in vals
 
@@ -294,7 +346,7 @@ def test_inner_product_orthonormality_s3():
     tab = character_table(S3)
     for i, a in enumerate(tab):
         for j, b in enumerate(tab):
-            assert inner_product(a, b) == (Cyc.one() if i == j else Cyc.zero())
+            assert inner_product(a, b) == (Fraction(1) if i == j else Fraction(0))
 
 
 def test_lin_kernel_dimensions():

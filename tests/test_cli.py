@@ -227,6 +227,11 @@ GOLDEN_JSON = [
      '"quotient": 0}'),
     (("crc-check", "S3", "D10"),
      '{"g": "S3", "k": "D10", "match": true, "product_rank": 12, "target_dim": 12}'),
+    (("crc-check", "C5", "C3"),
+     '{"g": "C5", "k": "C3", "match": true, "product_rank": 15, "target_dim": 15}'),
+    (("ahat", "--backend", "crc", "--group", "C4"),
+     '{"ambient": 16, "backend": "crc", "basis": [], "group": "C4", "ideal": 16, '
+     '"quotient": 0}'),
     (("lin-kernel", "A4"),
      '{"class_reps": [[0], [0, 2], [0, 1, 3], [0, 2, 10, 11], '
      '[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11]], "group": "A4", "kernel_dim": 2, '
@@ -257,6 +262,7 @@ GOLDEN_JSON = [
 
 @pytest.mark.parametrize("argv, expected", GOLDEN_JSON,
                          ids=["bouc-S3-C2", "bouc-Q8-S3", "ahat-rq-C5", "ahat-crc-C3", "crc-check-S3-D10",
+                              "crc-check-C5-C3", "ahat-crc-C4",
                               "lin-kernel-A4", "lin-kernel-C2xC2xC2",
                               "lin-kernel-D12"])
 def test_json_output_golden(capsys, argv, expected):

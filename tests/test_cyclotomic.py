@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bisetkit.cyclotomic import Cyc, cyclotomic_polynomial
+from bisetkit.cyclotomic import Cyc, cyclotomic_polynomial, sort_key
 
 
 def _f(*coeffs):
@@ -23,7 +23,7 @@ def test_known_cyclotomic_polynomials():
 
 def test_root_sums_vanish():
     for e in (2, 3, 4, 5, 6, 7, 12):
-        s = Cyc.zero()
+        s = Fraction(0)
         for k in range(e):
             s = s + Cyc.root_of_unity(e, k)
         assert not s
@@ -32,7 +32,7 @@ def test_root_sums_vanish():
 def test_root_order():
     for e in (1, 2, 3, 8, 9):
         z = Cyc.root_of_unity(e)
-        p = Cyc.one()
+        p = Fraction(1)
         for _ in range(e):
             p = p * z
         assert p == 1
@@ -51,16 +51,14 @@ def test_conductor_promotion_equality():
     z6 = Cyc.root_of_unity(6)
     z3 = Cyc.root_of_unity(3)
     assert z6 == -(z3 * z3)
-    assert Cyc.root_of_unity(4, 2) == Cyc.from_rational(-1)
+    assert Cyc.root_of_unity(4, 2) == Fraction(-1)
 
 
 def test_rationality_detection():
     z5 = Cyc.root_of_unity(5)
-    s = sum((Cyc.root_of_unity(5, k) for k in range(1, 5)), Cyc.zero())
-    assert s.is_rational() and s.rational() == -1
-    assert not z5.is_rational()
-    with pytest.raises(ValueError):
-        z5.rational()
+    s = sum((Cyc.root_of_unity(5, k) for k in range(1, 5)), Fraction(0))
+    assert type(s) is Fraction and s == -1
+    assert type(z5) is Cyc and z5 != -1
 
 
 small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=6)
@@ -72,7 +70,7 @@ def cyclotomic_numbers(draw):
     e = draw(conductors)
     q = draw(small_rationals)
     k = draw(st.integers(min_value=0, max_value=11))
-    return Cyc.from_rational(q) + Cyc.root_of_unity(e, k % e)
+    return q + Cyc.root_of_unity(e, k % e)
 
 
 @given(a=cyclotomic_numbers(), b=cyclotomic_numbers(), c=cyclotomic_numbers())
@@ -89,11 +87,11 @@ def test_field_axioms(a, b, c):
 @settings(max_examples=60, deadline=None)
 def test_inverse(a):
     if a:
-        assert a * a.inverse() == 1
-        assert a / a == Cyc.one()
+        assert a * (1 / a) == 1
+        assert a / a == Fraction(1)
     else:
         with pytest.raises(ZeroDivisionError):
-            a.inverse()
+            1 / a
 
 
 @given(a=cyclotomic_numbers(), b=cyclotomic_numbers())
@@ -101,3 +99,51 @@ def test_inverse(a):
 def test_conjugation_is_ring_hom(a, b):
     assert (a + b).conjugate() == a.conjugate() + b.conjugate()
     assert (a * b).conjugate() == a.conjugate() * b.conjugate()
+
+
+def _irrational_or_fraction(x):
+    """The invariant: rational values are Fractions, and a Cyc has a nonzero
+    coordinate after the first."""
+    if type(x) is Fraction:
+        return True
+    return type(x) is Cyc and any(x.coords[1:])
+
+
+mixed_operands = st.one_of(small_rationals, cyclotomic_numbers(),
+                           st.builds(lambda e, k: Cyc.root_of_unity(e, k % e),
+                                     st.integers(min_value=1, max_value=12),
+                                     st.integers(min_value=0, max_value=11)))
+
+
+@given(a=mixed_operands, b=mixed_operands, f=st.integers(min_value=1, max_value=12))
+@settings(max_examples=150, deadline=None)
+def test_rational_results_are_fractions(a, b, f):
+    results = [a + b, a - b, a * b, -a, a.conjugate()]
+    if b:
+        results.append(a / b)
+        assert (a / b) * b == a
+    assert all(_irrational_or_fraction(x) for x in results)
+    assert (a + b) - b == a
+    assert a * b == b * a and a + b == b + a
+    assert (a * b).conjugate() == a.conjugate() * b.conjugate()
+    for x in (a, b):
+        if type(x) is Cyc:
+            e = x.conductor * f
+            y = x.promote(e)
+            assert type(y) is Cyc and y.conductor == e
+            assert y == x and x == y and y != x + 1
+            assert sort_key(x, e) == y.coords
+        else:
+            assert x == Fraction(x)
+            assert sort_key(x, f)[0] == x and not any(sort_key(x, f)[1:])
+
+
+def test_cyc_is_never_rational():
+    z3 = Cyc.root_of_unity(3)
+    assert z3 + z3 * z3 == -1 and type(z3 + z3 * z3) is Fraction
+    assert type(z3 * z3.conjugate()) is Fraction
+    assert type(z3 * 0) is Fraction and z3 * 0 == 0
+    assert bool(z3) and z3 != 0 and z3 != Fraction(1, 2)
+    assert Cyc.root_of_unity(2) == -1 and type(Cyc.root_of_unity(6, 3)) is Fraction
+    with pytest.raises(ZeroDivisionError):
+        z3 / 0

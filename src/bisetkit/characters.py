@@ -209,6 +209,14 @@ def rq_cyclic_basis(g: FiniteGroup) -> list[SubgroupClass]:
     return classes
 
 
+def rq_class_index_map(g: FiniteGroup) -> tuple[int, ...]:
+    """Element x -> index in rq_cyclic_basis of the class of <x>, its rational class."""
+    if "rq_class_index" not in g._derived:
+        index = {m: i for i, cls in enumerate(rq_cyclic_basis(g)) for m in cls.members}
+        g._derived["rq_class_index"] = tuple(index[closure(g, [x])] for x in range(g.order))
+    return g._derived["rq_class_index"]
+
+
 def artin_coefficients(tau: CharacterVector) -> RQElement:
     """Exact Artin-basis coordinates of a rational character on an abelian group.
 

@@ -3,14 +3,14 @@
 A backend presents each hom-space A(H x G) by a finite ordered basis together
 with an injective linear coordinatization, and composes coordinate vectors
 bilinearly over a middle group. The ideal of morphisms factoring through
-strictly smaller groups is then the row space of all pairwise basis products,
-and the quotient dimension falls out of exact rank computations.
+strictly smaller groups is spanned by products of spanning elements, which
+each backend yields as sparse integer rows; exact ranks give the quotient.
 
 Backends: rb (double Burnside), rq (rational representations in the Artin
 basis), crc (complex representations by irreducible characters), rbc (the
-Yoneda-Dress shift of rb at a fixed group C). rq and crc share one
-composition of class functions; rq's basis vectors are permutation
-characters, whose values are Fractions.
+Yoneda-Dress shift of rb at a fixed group C). rb and rbc multiply basis
+classes by the Mackey formula. rq and crc share one composition of class
+functions, and their ideal rows compose (rational) class indicators.
 """
 
 from __future__ import annotations
@@ -27,10 +27,12 @@ from .characters import (
     character_table,
     compose_characters,
     perm_character_members,
+    rq_class_index_map,
     rq_cyclic_basis,
 )
 from .dress import DressElement, bilinear_compose, dress_compose_members, dress_identity
-from .errors import CatalogInsufficient, NotDivisor, OrderBound, PreconditionViolated
+from .errors import (AuditFailed, CatalogInsufficient, NotDivisor, OracleInconsistent,
+                     OrderBound, PreconditionViolated)
 from .groups import (
     FiniteGroup,
     automorphisms,
@@ -72,12 +74,38 @@ class CRCBackend:
         diag = tuple(sorted(p.encode((a, a)) for a in range(g.order)))
         return list(perm_character_members(p, diag).values)
 
+    def class_keys(self, p) -> tuple[int, ...]:
+        return class_index_map(p)
+
+    def ideal_rows(self, h, k):
+        """((a, b), row) pairs: row = |K| times the composite of the indicators
+        of classes a of H x K and b of K x H, as {class of H x H: int}."""
+        keys_hk = self.class_keys(product_group(h, k))
+        keys_kh = self.class_keys(product_group(k, h))
+        ho, ko = h.order, k.order  # row-major: (x, y) in X x Y is x*|Y| + y
+        rows: dict[tuple[int, int], dict[int, int]] = {}
+        for col, cls in enumerate(conjugacy_classes(product_group(h, h))):
+            hh, kk = divmod(cls[0], ho)
+            for gg in range(ko):
+                row = rows.setdefault((keys_hk[hh * ko + gg], keys_kh[gg * ho + kk]), {})
+                row[col] = row.get(col, 0) + 1
+        return rows.items()
+
+    def generator_inputs(self, h, k, pair):
+        """(beta, alpha, scale) with scale * compose(beta, alpha) the row of pair."""
+        vecs = [[Fraction(int(self.class_keys(p)[cls[0]] == key)) for cls in conjugacy_classes(p)]
+                for p, key in zip((product_group(h, k), product_group(k, h)), pair)]
+        return vecs[0], vecs[1], k.order
+
 
 class RQBackend(CRCBackend):
     """kR_Q in the Artin basis. Coordinates are the values of permutation
     characters, all Fractions, so composition is the crc one over Q."""
 
     name = "rq"
+
+    def class_keys(self, p) -> tuple[int, ...]:
+        return rq_class_index_map(p)  # rational classes span the Artin basis
 
     def basis_labels(self, h, g) -> list[tuple[int, ...]]:
         p = product_group(h, g)
@@ -97,12 +125,19 @@ class RBCBackend:
     def __init__(self, c: FiniteGroup):
         self.c = c
 
+    def _index(self, h, g) -> dict[tuple[int, ...], int]:
+        """Class rep -> basis index, memoized on the product group."""
+        p = product_group(h, g, self.c)
+        if "class_rep_index" not in p._derived:
+            p._derived["class_rep_index"] = {
+                cls.representative.members: i for i, cls in enumerate(subgroup_classes(p))}
+        return p._derived["class_rep_index"]
+
     def basis_labels(self, h, g) -> list[tuple[int, ...]]:
-        return [cls.representative.members
-                for cls in subgroup_classes(product_group(h, g, self.c))]
+        return list(self._index(h, g))
 
     def basis_vector(self, h, g, i) -> list[Fraction]:
-        v = [Fraction(0)] * len(self.basis_labels(h, g))
+        v = [Fraction(0)] * len(self._index(h, g))
         v[i] = Fraction(1)
         return v
 
@@ -114,21 +149,27 @@ class RBCBackend:
         """Compose coordinate vectors: the bilinear extension of compose_pair
         over their nonzero coordinates, read back in basis order."""
         x = DressElement(h, g, self.c, {rep: b for rep, b
-                                        in zip(self.basis_labels(h, g), beta) if b})
+                                        in zip(self._index(h, g), beta) if b})
         y = DressElement(g, k, self.c, {rep: a for rep, a
-                                        in zip(self.basis_labels(g, k), alpha) if a})
+                                        in zip(self._index(g, k), alpha) if a})
         prod = bilinear_compose(
             x, y, lambda lrep, mrep: self.compose_pair(h, g, k, lrep, mrep))
-        zero = Fraction(0)
-        return [prod.coeffs.get(rep, zero) for rep in self.basis_labels(h, k)]
+        return [prod.coeffs.get(rep, Fraction(0)) for rep in self._index(h, k)]
 
     def identity(self, g) -> list[Fraction]:
-        index = {rep: i for i, rep in enumerate(self.basis_labels(g, g))}
-        v = [Fraction(0)] * len(index)
-        ident = dress_identity(g, self.c)
-        for rep, coeff in ident.coeffs.items():
-            v[index[rep]] = coeff
-        return v
+        coeffs = dress_identity(g, self.c).coeffs
+        return [coeffs.get(rep, Fraction(0)) for rep in self._index(g, g)]
+
+    def ideal_rows(self, h, k):
+        """((i, j), product of basis classes i and j as {basis index: int})."""
+        index = self._index(h, h)
+        for i, lrep in enumerate(self._index(h, k)):
+            for j, mrep in enumerate(self._index(k, h)):
+                yield (i, j), {index[rep]: int(v) for rep, v
+                               in self.compose_pair(h, k, h, lrep, mrep).items()}
+
+    def generator_inputs(self, h, k, pair):
+        return self.basis_vector(h, k, pair[0]), self.basis_vector(k, h, pair[1]), 1
 
 
 class RBBackend(RBCBackend):
@@ -184,7 +225,7 @@ class IdealReport:
 
 
 def _ideal_rowspace(backend, h: FiniteGroup) -> RowSpace:
-    """Reduced row space of all basis products through smaller catalog groups."""
+    """Reduced row space of the distinct generator rows through smaller catalog groups."""
     if h.order - 1 > _catalog.CATALOG_MAX_ORDER:
         raise CatalogInsufficient(
             f"need all groups of order < {h.order}, catalog stops at "
@@ -194,38 +235,40 @@ def _ideal_rowspace(backend, h: FiniteGroup) -> RowSpace:
     seen_rows: set = set()
     for n in range(1, h.order):
         for k in _catalog.groups_of_order(n):
-            dim_hk = len(backend.basis_labels(h, k))
-            dim_kh = len(backend.basis_labels(k, h))
-            avecs = [backend.basis_vector(h, k, i) for i in range(dim_hk)]
-            bvecs = [backend.basis_vector(k, h, j) for j in range(dim_kh)]
-            for avec in avecs:
-                for bvec in bvecs:
-                    row = backend.compose(h, k, h, avec, bvec)
-                    key = tuple(str(x) for x in row)
-                    if key in seen_rows:
-                        continue
-                    seen_rows.add(key)
-                    space.add(row)
+            for n_row, (pair, row) in enumerate(backend.ideal_rows(h, k)):
+                if n_row == 0:
+                    beta, alpha, scale = backend.generator_inputs(h, k, pair)
+                    dense = backend.compose(h, k, h, beta, alpha)
+                    if [scale * x for x in dense] != [row.get(c, 0) for c in range(width)]:
+                        raise OracleInconsistent(
+                            f"{backend.name}: row {pair} through {k.label} is not compose's")
+                key = tuple(sorted(row.items()))
+                if key in seen_rows:
+                    continue
+                seen_rows.add(key)
+                space.add([Fraction(row[c]) if c in row else 0 for c in range(width)])
     return space
 
 
 def ideal_span(backend, h: FiniteGroup) -> IdealReport:
     """Ideal of morphisms factoring through strictly smaller groups.
 
-    The ideal is the linear span of {compose(a, b)} over basis elements a of
-    A(H x K) and b of A(K x H) for every catalog K with |K| < |H|; bilinearity
-    makes this span the whole submodule. Quotient basis labels are the ambient
-    basis elements that stay independent modulo the span, scanned in order.
+    The ideal is spanned by the products of basis classes (rb, rbc) or of
+    (rational) class indicators (crc, rq) of A(H x K) and A(K x H), for every
+    catalog K with |K| < |H|; bilinearity makes this span the whole submodule.
+    Quotient basis labels are the ambient basis elements that stay independent
+    modulo the span, scanned in order.
     """
     space = _ideal_rowspace(backend, h)
     ideal_dim = space.rank
     labels = backend.basis_labels(h, h)
     ambient = len(labels)
-    assert 0 <= ideal_dim <= ambient, "ideal escaped the ambient module"
     quotient_basis = []
     for i, lab in enumerate(labels):
         if space.add(backend.basis_vector(h, h, i)):
             quotient_basis.append(lab)
+    if len(quotient_basis) != ambient - ideal_dim:
+        raise AuditFailed(f"{backend.name}: the ideal of {h.label} escaped the ambient module")
     return IdealReport(backend.name, h.label, ambient, ideal_dim,
                        ambient - ideal_dim, quotient_basis)
 
@@ -366,19 +409,9 @@ def primitive_characters(m: int) -> list[UnitCharacter]:
     A trivial kernel (possible, e.g. m=6, n=3) admits no such character, so it
     empties the list, matching the vanishing of the quotient algebra.
     """
-    chars = unit_characters(m)
-    out = []
-    proper = [n for n in range(1, m) if m % n == 0]
-    for ch in chars:
-        ok = True
-        for n in proper:
-            ker = kernel_of_reduction(m, n)
-            if ch.is_trivial_on(ker):
-                ok = False
-                break
-        if ok:
-            out.append(ch)
-    return out
+    kernels = [kernel_of_reduction(m, n) for n in range(1, m) if m % n == 0]
+    return [ch for ch in unit_characters(m)
+            if not any(ch.is_trivial_on(ker) for ker in kernels)]
 
 
 def xn_ideal_dim(m: int) -> int:
@@ -445,11 +478,7 @@ def seeds_kRQ(max_m: int) -> list[Seed]:
     """One seed per primitive character of (Z/mZ)^x for each m <= max_m."""
     if max_m > 64:
         raise OrderBound("seeds_kRQ capped at m <= 64")
-    out = []
-    for m in range(1, max_m + 1):
-        for ch in primitive_characters(m):
-            out.append(Seed(m, ch))
-    return out
+    return [Seed(m, ch) for m in range(1, max_m + 1) for ch in primitive_characters(m)]
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from .errors import PreconditionViolated
+
 
 class RowSpace:
     """Incrementally reduced row space; rows are normalized to pivot 1."""
@@ -24,7 +26,8 @@ class RowSpace:
 
     def reduce(self, row: Sequence) -> list:
         r = list(row)
-        assert len(r) == self.width
+        if len(r) != self.width:
+            raise PreconditionViolated(f"row of length {len(r)}, row space of width {self.width}")
         for col in sorted(self.pivots):
             if r[col]:
                 piv = self.pivots[col]

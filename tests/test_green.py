@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import bisetkit
-from bisetkit.catalog import group_by_name
+from bisetkit.catalog import group_by_name, groups_of_order
 from bisetkit.dress import DressElement, dress_compose
 from bisetkit.errors import CatalogInsufficient, NotDivisor
 from bisetkit.green import (
@@ -30,6 +30,7 @@ from bisetkit.green import (
     xn_ideal_dim,
 )
 from bisetkit.groups import make_group, product_group
+from bisetkit.linalg import RowSpace
 
 
 def test_units_and_characters():
@@ -97,7 +98,7 @@ def test_seed_counts_and_keys():
 
 
 def test_seeds_verify_against_ideal():
-    for m in range(1, 5):
+    for m in range(1, 17):
         assert ideal_span(RQBackend(), make_group("cyclic", m)).quotient_dim == \
             len(primitive_characters(m))
 
@@ -166,6 +167,44 @@ def test_ideal_span_confirms_primitive_counts_m9_m10():
     assert len(primitive_characters(9)) == 4
     assert ideal_span(RQBackend(), make_group("cyclic", 10)).quotient_dim == 0
     assert len(primitive_characters(10)) == 0
+
+
+def _dense_rowspace(backend, h):
+    """The ideal's row space the slow way: the dense compose of every pair of
+    basis vectors through every smaller catalog group."""
+    width = len(backend.basis_vector(h, h, 0))
+    space, seen = RowSpace(width), set()
+    for n in range(1, h.order):
+        for k in groups_of_order(n):
+            avecs = [backend.basis_vector(h, k, i) for i in range(len(backend.basis_labels(h, k)))]
+            bvecs = [backend.basis_vector(k, h, j) for j in range(len(backend.basis_labels(k, h)))]
+            for avec in avecs:
+                for bvec in bvecs:
+                    row = backend.compose(h, k, h, avec, bvec)
+                    key = tuple(str(x) for x in row)
+                    if key not in seen:
+                        seen.add(key)
+                        space.add(row)
+    return space
+
+
+_C2 = make_group("cyclic", 2)
+_EQUIVALENCE_CASES = (
+    [(RBBackend(), h) for n in range(1, 7) for h in groups_of_order(n)]
+    + [(RQBackend(), h) for n in range(1, 7) for h in groups_of_order(n)]
+    + [(RBCBackend(_C2), h) for n in range(1, 6) for h in groups_of_order(n)]
+    + [(CRCBackend(), h) for n in range(1, 5) for h in groups_of_order(n)])
+
+
+@pytest.mark.parametrize("backend,h", _EQUIVALENCE_CASES,
+                         ids=[f"{b.name}-{h.label}" for b, h in _EQUIVALENCE_CASES])
+def test_sparse_rows_span_the_dense_ideal(backend, h):
+    from bisetkit.green import _ideal_rowspace
+    sparse, dense = _ideal_rowspace(backend, h), _dense_rowspace(backend, h)
+    assert sparse.rank == dense.rank
+    assert all(dense.contains(row) for row in sparse.pivots.values())
+    assert all(sparse.contains(row) for row in dense.pivots.values())
+    assert all(type(x) is Fraction for row in sparse.pivots.values() for x in row)
 
 
 def test_catalog_insufficient():
@@ -299,6 +338,16 @@ def test_get_backend_dispatch():
         get_backend("nope")
 
 
+def _run_optimized(code, cwd):
+    """Run ``code`` under python -O; it must exit 0."""
+    src = str(Path(bisetkit.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONOPTIMIZE"}
+    env["PYTHONPATH"] = src
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, cwd=cwd,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
 def test_rbc_backend_without_c_survives_optimize(tmp_path):
     # python -O strips assert statements; the missing-C check must not be one
     code = textwrap.dedent("""
@@ -310,9 +359,37 @@ def test_rbc_backend_without_c_survives_optimize(tmp_path):
             raise SystemExit(0)
         raise SystemExit("no BisetkitError under -O")
     """)
-    src = str(Path(bisetkit.__file__).resolve().parents[1])
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONOPTIMIZE"}
-    env["PYTHONPATH"] = src
-    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, cwd=tmp_path,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
+    _run_optimized(code, tmp_path)
+
+
+def test_ideal_checks_survive_optimize(tmp_path):
+    # the row width check, the per-K cross-check of the sparse rows and the
+    # ambient check of ideal_span all raise typed errors under python -O
+    code = textwrap.dedent("""
+        from fractions import Fraction
+        from bisetkit.errors import AuditFailed, OracleInconsistent, PreconditionViolated
+        from bisetkit.green import RBBackend, RQBackend, ideal_span
+        from bisetkit.groups import make_group
+        from bisetkit.linalg import RowSpace
+
+        class Miscounting(RBBackend):
+            def ideal_rows(self, h, k):
+                for pair, row in super().ideal_rows(h, k):
+                    yield pair, {**row, 0: row.get(0, 0) + 1}
+
+        class Escaping(RQBackend):
+            def ideal_rows(self, h, k):
+                yield from super().ideal_rows(h, k)
+                yield None, {1: 1}  # (0, 1) alone; its rational class holds (0, 2)
+
+        c3 = make_group("cyclic", 3)
+        for exc, fn, arg in [(PreconditionViolated, RowSpace(3).add, [Fraction(1)]),
+                             (OracleInconsistent, lambda h: ideal_span(Miscounting(), h), c3),
+                             (AuditFailed, lambda h: ideal_span(Escaping(), h), c3)]:
+            try:
+                fn(arg)
+            except exc:
+                continue
+            raise SystemExit(f"no {exc.__name__} under -O")
+    """)
+    _run_optimized(code, tmp_path)

@@ -409,9 +409,13 @@ def character_table(g: FiniteGroup) -> list[CharacterVector]:
             f"character table of {g.label}: found {len(irreducibles)} of {r}")
     if sum(chi.degree() ** 2 for chi in irreducibles) != g.order:
         raise CharacterTableError(f"degree equation fails for {g.label}")
+    # |G| <a, b> against |G| delta_ab; <b, a> is the conjugate of <a, b>, so j >= i
+    sizes = [len(cls) for cls in conjugacy_classes(g)]
+    weighted = [[v.conjugate() * n for v, n in zip(b.values, sizes)] for b in irreducibles]
     for i, a in enumerate(irreducibles):
-        for j, b in enumerate(irreducibles):
-            if inner_product(a, b) != (1 if i == j else 0):
+        for j in range(i, r):
+            total = sum(x * y for x, y in zip(a.values, weighted[j]) if x and y)
+            if total != (g.order if i == j else 0):
                 raise CharacterTableError(
                     f"orthogonality fails for {g.label} at ({i},{j})")
     irreducibles.sort(key=lambda c: _char_sort_key(c, e))

@@ -1,12 +1,16 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_e).
 
-A CyclotomicNumber stores rational coordinates over the power basis
-1, z, ..., z^(phi(e)-1) of Q(zeta_e), reduced modulo the e-th cyclotomic
-polynomial. Mixed conductors promote to the least common multiple. A rational
-value is a Fraction and never a CyclotomicNumber: every operation whose result
-is rational returns a Fraction, and int or Fraction operands enter the
-coordinates as they are. Division inverts modulo the cyclotomic polynomial,
-which is irreducible, so every CyclotomicNumber is a unit.
+A CyclotomicNumber stores integer numerators over the power basis
+1, z, ..., z^(phi(e)-1) of Q(zeta_e) and one positive common denominator, in
+lowest terms. The power basis is an integral basis of Z[zeta_e] and Phi_e is
+monic, so Phi_e, the reductions of z^k modulo Phi_e and the power maps are all
+int tables: a product is an int convolution, an int reduction and one gcd.
+Mixed conductors promote to the least common multiple. A rational value is a
+Fraction and never a CyclotomicNumber: every operation whose result is rational
+returns a Fraction, and int or Fraction operands fold into the numerators and
+the denominator. Division multiplies by the inverse, the product of the other
+Galois conjugates over the norm; Phi_e is irreducible, so every
+CyclotomicNumber is a unit.
 """
 
 from __future__ import annotations
@@ -15,18 +19,35 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
+from .errors import PreconditionViolated
+
 
 @lru_cache(maxsize=None)
-def cyclotomic_polynomial(e: int) -> tuple[Fraction, ...]:
+def cyclotomic_polynomial(e: int) -> tuple[int, ...]:
     """Coefficients of Phi_e, ascending degree."""
-    assert e >= 1
+    if e < 1:
+        raise PreconditionViolated(f"no cyclotomic polynomial of order {e}")
     # x^e - 1 divided by the product of Phi_d over proper divisors d of e
-    num = [Fraction(-1)] + [Fraction(0)] * (e - 1) + [Fraction(1)]
+    num = [-1] + [0] * (e - 1) + [1]
     for d in range(1, e):
         if e % d == 0:
-            num, rem = _poly_divmod(num, list(cyclotomic_polynomial(d)))
-            assert not any(rem), "inexact polynomial division"
+            num = _exact_quotient(num, cyclotomic_polynomial(d))
     return tuple(num)
+
+
+def _exact_quotient(num: list[int], den: tuple[int, ...]) -> list[int]:
+    """num / den for a monic den, ascending degree; the division must be exact."""
+    num = list(num)
+    dn = len(den)
+    q = [0] * (len(num) - dn + 1)
+    for k in range(len(num) - dn, -1, -1):
+        c = q[k] = num[k + dn - 1]
+        if c:
+            for j in range(dn):
+                num[k + j] -= c * den[j]
+    if any(num):
+        raise PreconditionViolated("inexact polynomial division")
+    return q
 
 
 @lru_cache(maxsize=None)
@@ -35,35 +56,35 @@ def _phi_degree(e: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _power_reductions(e: int) -> tuple[tuple[Fraction, ...], ...]:
-    """z^k over the power basis for k = 0 .. 2e: row k has phi(e) entries."""
+def _power_reductions(e: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """z^k modulo Phi_e for k = 0 .. 2e - 1, as its nonzero (index, coefficient)
+    pairs over the power basis."""
     d = _phi_degree(e)
     phi = cyclotomic_polynomial(e)
-    rows: list[tuple[Fraction, ...]] = []
-    cur = [Fraction(0)] * d
-    cur[0] = Fraction(1)
-    for k in range(2 * e + 1):
-        rows.append(tuple(cur))
-        # multiply by z
+    rows = []
+    cur = [1] + [0] * (d - 1)
+    for _ in range(2 * e):
+        rows.append(tuple((j, c) for j, c in enumerate(cur) if c))
+        # multiply by z; z^d = -(phi[0] + ... + phi[d-1] z^(d-1))
         carry = cur[d - 1]
-        nxt = [Fraction(0)] + cur[:d - 1]
+        cur = [0] + cur[:d - 1]
         if carry:
             for j in range(d):
-                nxt[j] -= carry * phi[j]
-        cur = nxt
+                cur[j] -= carry * phi[j]
     return tuple(rows)
 
 
 class CyclotomicNumber:
-    """An irrational element of Q(zeta_e) with exact rational power-basis
-    coordinates; some coordinate after the first is nonzero."""
+    """An irrational element (sum_i num[i] zeta_e^i) / den of Q(zeta_e): num
+    holds phi(e) ints, some after the first nonzero, den > 0 and
+    gcd(den, *num) = 1. Built by root_of_unity and the arithmetic below."""
 
-    __slots__ = ("conductor", "coords")
+    __slots__ = ("conductor", "num", "den")
 
-    def __init__(self, conductor: int, coords):
+    def __init__(self, conductor: int, num: tuple[int, ...], den: int):
         self.conductor = conductor
-        self.coords = tuple(coords)
-        assert len(self.coords) == _phi_degree(conductor)
+        self.num = num
+        self.den = den
 
     @staticmethod
     def root_of_unity(e: int, k: int = 1):
@@ -71,7 +92,12 @@ class CyclotomicNumber:
         k %= e
         g = gcd(k, e) if k else e
         e2, k2 = e // g, k // g if k else 0
-        return _make(e2, _power_reductions(e2)[k2])
+        return _make(e2, _power_map((0, 1), e2, k2), 1)
+
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        """The rational coordinates over the power basis."""
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     # -- promotion -------------------------------------------------------
 
@@ -79,10 +105,14 @@ class CyclotomicNumber:
         e = self.conductor
         if e == f:
             return self
-        assert f % e == 0
-        return _power_map(self.coords, f, f // e)
+        if f % e:
+            raise PreconditionViolated(f"conductor {e} does not divide {f}")
+        # Z[zeta_f] meets Q(zeta_e) in Z[zeta_e], so the numerators stay coprime to den
+        return CyclotomicNumber(f, _power_map(self.num, f, f // e), self.den)
 
     def _pair(self, other: "CyclotomicNumber"):
+        if self.conductor == other.conductor:
+            return self, other
         e = lcm(self.conductor, other.conductor)
         return self.promote(e), other.promote(e)
 
@@ -91,66 +121,59 @@ class CyclotomicNumber:
     def __add__(self, other):
         if isinstance(other, CyclotomicNumber):
             a, b = self._pair(other)
-            return _make(a.conductor, [x + y for x, y in zip(a.coords, b.coords)])
+            da, db = a.den, b.den
+            return _make(a.conductor, [x * db + y * da for x, y in zip(a.num, b.num)],
+                         da * db)
         if isinstance(other, _RATIONAL):
-            return CyclotomicNumber(self.conductor,
-                                    (self.coords[0] + other,) + self.coords[1:])
+            m = other.denominator
+            num = [c * m for c in self.num]
+            num[0] += other.numerator * self.den
+            return _make(self.conductor, num, self.den * m)
         return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CyclotomicNumber(self.conductor, tuple(-c for c in self.coords))
+        return CyclotomicNumber(self.conductor, tuple(-c for c in self.num), self.den)
 
     def __sub__(self, other):
+        if isinstance(other, CyclotomicNumber):
+            a, b = self._pair(other)
+            da, db = a.den, b.den
+            return _make(a.conductor, [x * db - y * da for x, y in zip(a.num, b.num)],
+                         da * db)
         return self + (-other)
 
     def __rsub__(self, other):
         return -self + other
 
     def __mul__(self, other):
+        if isinstance(other, CyclotomicNumber):
+            a, b = self._pair(other)
+            e = a.conductor
+            return _make(e, _times(e, a.num, b.num), a.den * b.den)
         if isinstance(other, _RATIONAL):
-            if not other:
-                return Fraction(0)
-            return CyclotomicNumber(self.conductor, tuple(c * other for c in self.coords))
-        if not isinstance(other, CyclotomicNumber):
-            return NotImplemented
-        a, b = self._pair(other)
-        e = a.conductor
-        d = _phi_degree(e)
-        conv = [Fraction(0)] * (2 * d - 1)
-        ac, bc = a.coords, b.coords
-        for i, ci in enumerate(ac):
-            if ci:
-                for j, cj in enumerate(bc):
-                    if cj:
-                        conv[i + j] += ci * cj
-        return _reduce(e, conv)
+            n = other.numerator
+            return _make(self.conductor, [c * n for c in self.num],
+                         self.den * other.denominator)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CyclotomicNumber":
-        e = self.conductor
-        # extended gcd of self (as a polynomial) with Phi_e
-        a = list(self.coords)
-        b = list(cyclotomic_polynomial(e))
-        s0, s1 = [Fraction(1)], [Fraction(0)]
-        while True:
-            while a and not a[-1]:
-                a.pop()
-            if len(a) == 1:
-                inv_c = 1 / a[0]
-                return _reduce(e, [c * inv_c for c in s0])
-            q, r = _poly_divmod(b, a)
-            # s_next = s1 - q*s0
-            qs0 = _poly_mul(q, s0)
-            s_next = _poly_sub(s1, qs0)
-            b, a = a, r
-            s1, s0 = s0, s_next
+        """For x = a / den: 1/x = den * r / N(a), where r is the product of
+        sigma_k(a) over the units k != 1 mod e, and N(a) = a * r is an int."""
+        e, a = self.conductor, self.num
+        r = None
+        for k in range(2, e):
+            if gcd(k, e) == 1:
+                s = _power_map(a, e, k)
+                r = s if r is None else _times(e, r, s)
+        return _make(e, [c * self.den for c in r], _times(e, a, r)[0])
 
     def __truediv__(self, other):
         if isinstance(other, _RATIONAL):
-            return CyclotomicNumber(self.conductor, tuple(c / other for c in self.coords))
+            return self * (1 / Fraction(other))
         if not isinstance(other, CyclotomicNumber):
             return NotImplemented
         return self * other.inverse()
@@ -161,7 +184,7 @@ class CyclotomicNumber:
     def conjugate(self) -> "CyclotomicNumber":
         """Complex conjugation, zeta -> zeta^(e-1)."""
         e = self.conductor
-        return _power_map(self.coords, e, e - 1)
+        return CyclotomicNumber(e, _power_map(self.num, e, e - 1), self.den)
 
     # -- predicates ----------------------------------------------------
 
@@ -171,7 +194,7 @@ class CyclotomicNumber:
     def __eq__(self, other) -> bool:
         if isinstance(other, CyclotomicNumber):
             a, b = self._pair(other)
-            return a.coords == b.coords
+            return a.den == b.den and a.num == b.num
         if isinstance(other, _RATIONAL):
             return False
         return NotImplemented
@@ -193,76 +216,49 @@ def sort_key(v, e: int) -> tuple:
     return (v,) + (Fraction(0),) * (_phi_degree(e) - 1)
 
 
-def _make(e: int, coords):
-    """sum coords[i] zeta_e^i over the power basis: coords[0] when every
-    other coordinate is zero, else a CyclotomicNumber."""
-    if any(coords[1:]):
-        return CyclotomicNumber(e, coords)
-    return coords[0]
+def _make(e: int, num: list[int], den: int):
+    """(sum num[i] zeta_e^i) / den: a Fraction when every numerator after the
+    first is zero, else a CyclotomicNumber in lowest terms."""
+    if not any(num[1:]):
+        return Fraction(num[0], den)
+    g = gcd(den, *num)
+    if den < 0:
+        g = -g
+    if g != 1:
+        num = [c // g for c in num]
+        den //= g
+    return CyclotomicNumber(e, tuple(num), den)
 
 
-def _power_map(coords, f: int, k: int):
-    """sum_i coords[i] zeta_f^(i k) over the power basis of Q(zeta_f)."""
-    red = _power_reductions(f)
-    d = _phi_degree(f)
-    out = [Fraction(0)] * d
-    for i, c in enumerate(coords):
-        if c:
-            row = red[i * k % f]
-            for j in range(d):
-                if row[j]:
-                    out[j] += c * row[j]
-    return _make(f, out)
-
-
-def _reduce(e: int, poly: list[Fraction]):
-    """sum_k poly[k] z^k reduced modulo Phi_e; needs len(poly) <= 2e + 1."""
-    red = _power_reductions(e)
-    d = _phi_degree(e)
-    out = poly[:d] + [Fraction(0)] * (d - len(poly))
-    for k in range(d, len(poly)):
-        ck = poly[k]
-        if ck:
-            row = red[k]
-            for j in range(d):
-                if row[j]:
-                    out[j] += ck * row[j]
-    return _make(e, out)
-
-
-def _poly_divmod(num: list[Fraction], den: list[Fraction]):
-    """Quotient and remainder of polynomial long division, ascending degree."""
-    num = list(num)
-    dn = len(den)
-    q = [Fraction(0)] * max(len(num) - dn + 1, 1)
-    for k in range(len(num) - dn, -1, -1):
-        c = num[k + dn - 1] / den[-1]
-        q[k] = c
-        if c:
-            for j in range(dn):
-                num[k + j] -= c * den[j]
-    r = num[:dn - 1]
-    while r and not r[-1]:
-        r.pop()
-    if not r:
-        r = [Fraction(0)]
-    return q, r
-
-
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+def _times(e: int, a, b) -> list[int]:
+    """The numerators of (sum a[i] z^i)(sum b[j] z^j) modulo Phi_e."""
+    d = len(a)
+    conv = [0] * (2 * d - 1)
     for i, x in enumerate(a):
         if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
+            for j, y in enumerate(b, i):
+                if y:
+                    conv[j] += x * y
+    red = _power_reductions(e)
+    out = conv[:d]
+    for k in range(d, 2 * d - 1):
+        c = conv[k]
+        if c:
+            for j, r in red[k]:
+                out[j] += c * r
     return out
 
 
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    a = a + [Fraction(0)] * (n - len(a))
-    b = b + [Fraction(0)] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
+def _power_map(num, f: int, k: int) -> tuple[int, ...]:
+    """The numerators of sum_i num[i] zeta_f^(i k) over the power basis of
+    Q(zeta_f)."""
+    red = _power_reductions(f)
+    out = [0] * _phi_degree(f)
+    for i, c in enumerate(num):
+        if c:
+            for j, r in red[i * k % f]:
+                out[j] += c * r
+    return tuple(out)
 
 
 Cyc = CyclotomicNumber

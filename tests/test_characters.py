@@ -330,6 +330,20 @@ def test_catalog_character_tables_golden():
     assert digest == CATALOG_TABLES_SHA256
 
 
+def test_product_table_is_tensor_of_factor_tables():
+    # conductor 35, phi(35) = 24: the table found through the dual group of
+    # C5 x C7 must be the 35 products chi(a) psi(b) of the factor tables
+    c5, c7 = make_group("cyclic", 5), make_group("cyclic", 7)
+    p = product_group(c5, c7)
+    e = p.exponent
+    pairs = [p.decode(cls[0]) for cls in conjugacy_classes(p)]
+    cg, ck = class_index_map(c5), class_index_map(c7)
+    expected = {tuple(sort_key(chi.values[cg[a]] * psi.values[ck[b]], e) for a, b in pairs)
+                for chi in character_table(c5) for psi in character_table(c7)}
+    got = {tuple(sort_key(v, e) for v in chi.values) for chi in character_table(p)}
+    assert len(expected) == 35 and got == expected
+
+
 def test_a4_has_cube_root_values():
     a4 = make_group("alternating4")
     tab = character_table(a4)

@@ -1,9 +1,16 @@
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from math import gcd, lcm
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import bisetkit
 from bisetkit.cyclotomic import Cyc, cyclotomic_polynomial, sort_key
 
 
@@ -147,3 +154,109 @@ def test_cyc_is_never_rational():
     assert Cyc.root_of_unity(2) == -1 and type(Cyc.root_of_unity(6, 3)) is Fraction
     with pytest.raises(ZeroDivisionError):
         z3 / 0
+
+
+# -- differential check against schoolbook Fraction polynomials mod Phi_e ----
+
+def _ref_reduce(poly, e):
+    """poly (ascending coefficients) modulo Phi_e by long division, phi(e) coordinates."""
+    phi = cyclotomic_polynomial(e)
+    d = len(phi) - 1
+    p = [Fraction(c) for c in poly] + [Fraction(0)] * d
+    for k in range(len(p) - 1, d - 1, -1):
+        c = p[k]
+        if c:
+            for j in range(d + 1):
+                p[k - d + j] -= c * phi[j]
+    return tuple(p[:d])
+
+
+def _ref_mul(a, b, e):
+    conv = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            conv[i + j] += x * y
+    return _ref_reduce(conv, e)
+
+
+def _ref_subst(a, f, k):
+    """sum a[i] z^(i k) modulo Phi_f."""
+    poly = [Fraction(0)] * ((len(a) - 1) * k + 1)
+    for i, c in enumerate(a):
+        poly[i * k] += c
+    return _ref_reduce(poly, f)
+
+
+def _assert_canonical(x):
+    """A Fraction, or a Cyc with phi(e) int numerators over a positive
+    denominator in lowest terms, Fraction coords and an irrational coordinate."""
+    if type(x) is Fraction:
+        return
+    assert type(x) is Cyc
+    assert len(x.num) == len(cyclotomic_polynomial(x.conductor)) - 1
+    assert all(type(c) is int for c in x.num) and type(x.den) is int
+    assert x.den > 0 and gcd(x.den, *x.num) == 1
+    assert all(type(c) is Fraction for c in x.coords) and any(x.coords[1:])
+
+
+wide_conductors = st.sampled_from([3, 4, 5, 6, 8, 9, 12, 15, 20, 24])
+coordinates = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+
+
+@st.composite
+def general_elements(draw):
+    """(e, coordinates, the Cyc with those coordinates), built by arithmetic."""
+    e = draw(wide_conductors)
+    v = tuple(draw(st.lists(coordinates, min_size=len(cyclotomic_polynomial(e)) - 1,
+                            max_size=len(cyclotomic_polynomial(e)) - 1)))
+    assume(any(v[1:]))
+    x = sum((c * Cyc.root_of_unity(e, i) for i, c in enumerate(v) if c), Fraction(0))
+    return e, v, x
+
+
+@given(a=general_elements(), b=general_elements())
+@settings(max_examples=80, deadline=None)
+def test_cyc_matches_schoolbook_polynomials(a, b):
+    (e, u, x), (f, v, y) = a, b
+    # x may come out in a smaller conductor (zeta_12^3 = zeta_4); read it in e
+    assert sort_key(x, e) == u and sort_key(y, f) == v
+    m = lcm(e, f)
+    pu, pv = _ref_subst(u, m, m // e), _ref_subst(v, m, m // f)
+    cases = [(x + y, m, tuple(s + t for s, t in zip(pu, pv))),
+             (x - y, m, tuple(s - t for s, t in zip(pu, pv))),
+             (x * y, m, _ref_mul(pu, pv, m)),
+             (x.promote(m), m, pu),
+             (x.conjugate(), e, _ref_subst(u, e, e - 1))]
+    for got, k, want in cases:
+        _assert_canonical(got)
+        assert sort_key(got, k) == want
+    # the inverse is the element whose schoolbook product with x is 1
+    inv = x.inverse()
+    _assert_canonical(inv)
+    assert _ref_mul(u, sort_key(inv, e), e) == (Fraction(1),) + (Fraction(0),) * (len(u) - 1)
+    assert x * inv == 1 and type(x * inv) is Fraction
+
+
+def test_cyclotomic_checks_survive_optimize(tmp_path):
+    # the preconditions of promote, sort_key and cyclotomic_polynomial raise
+    # typed errors under python -O, where an assert would be stripped
+    code = textwrap.dedent("""
+        import bisetkit.cyclotomic as cy
+        from bisetkit.errors import PreconditionViolated
+        z3 = cy.Cyc.root_of_unity(3)
+        cases = [lambda: z3.promote(4), lambda: cy.sort_key(z3, 5),
+                 lambda: cy.cyclotomic_polynomial(0),
+                 lambda: cy._exact_quotient([1, 0, 1], (1, 1))]  # x^2 + 1 = (x + 1)(x - 1) + 2
+        for i, fn in enumerate(cases):
+            try:
+                fn()
+            except PreconditionViolated:
+                continue
+            raise SystemExit(f"case {i}: no PreconditionViolated under -O")
+    """)
+    src = str(Path(bisetkit.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONOPTIMIZE"}
+    env["PYTHONPATH"] = src
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

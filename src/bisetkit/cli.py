@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -396,8 +397,18 @@ def _json_safe(x):
     return str(x)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads a token such as '-1,0' as a value, as argparse reads '-1', so a
+    bad generator gets the program's error line instead of a usage message.
+    Subparsers inherit the class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\d[\d,;]*$")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bisetkit",
         description="Double Burnside ring and Green biset functor computations")
     parser.add_argument("--json", action="store_true",

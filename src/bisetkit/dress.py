@@ -44,8 +44,9 @@ from .errors import (
 from .groups import (
     FiniteGroup,
     GroupHom,
+    _goursat_subgroups,
+    _sections,
     all_homs,
-    all_isomorphisms,
     canonical_subgroup_rep,
     center,
     closure,
@@ -476,33 +477,11 @@ def _normal_within(p: FiniteGroup, d_members: Sequence[int],
 
 
 def subgroups_with_full_first(x_grp: FiniteGroup, y_grp: FiniteGroup) -> list[tuple[int, ...]]:
-    """All subgroups A <= X x Y with p1(A) = X, via the section correspondence:
-    A = {(x, s) : iso(x N) = proj(s)} for N normal in X, S <= Y, S0 normal in S
-    and an isomorphism X/N -> S/S0. Members are encoded in product(X, Y)."""
-    p = product_group(x_grp, y_grp)
-    out = set()
-    normals = [s for s in subgroups(x_grp) if is_normal(x_grp, s.members)]
-    for n1 in normals:
-        q1, proj1 = quotient_group(x_grp, n1)
-        for s in subgroups(y_grp):
-            if s.order % q1.order:
-                continue
-            s_grp, s_incl = sub_as_group(s)
-            for s0 in subgroups(s_grp):
-                if s.order // s0.order != q1.order:
-                    continue
-                if not is_normal(s_grp, s0.members):
-                    continue
-                q2, proj2 = quotient_group(s_grp, s0)
-                for iso in all_isomorphisms(q1, q2):
-                    members = []
-                    for x in range(x_grp.order):
-                        target = iso(proj1(x))
-                        for i in range(s_grp.order):
-                            if proj2(i) == target:
-                                members.append(p.encode((x, s_incl(i))))
-                    out.add(tuple(sorted(members)))
-    return sorted(out, key=lambda m: (len(m), m))
+    """All subgroups A <= X x Y with p1(A) = X, encoded in product(X, Y): in
+    Goursat's terms, those whose section on the X side is N <| X."""
+    full = {index: [(s, n) for s, n in pairs if len(s) == x_grp.order]
+            for index, pairs in _sections(x_grp).items()}
+    return _goursat_subgroups(x_grp, y_grp, full)
 
 
 def _side_classes(x: FiniteGroup, k: FiniteGroup, c: FiniteGroup, pos: int,

@@ -16,9 +16,11 @@ from typing import Callable, Iterable, Optional, Sequence
 from . import cache as _cache
 from .errors import (
     InvalidTable,
+    MiddleMismatch,
     NotNormal,
     NotSubgroup,
     OrderBound,
+    PreconditionViolated,
 )
 
 DEFAULT_ORDER_BOUND = 256
@@ -116,11 +118,13 @@ class FiniteGroup:
     # -- product index maps ------------------------------------------------
 
     def encode(self, comps: Sequence[int]) -> int:
-        assert self._strides is not None, "not a product group"
+        if self._strides is None:
+            raise PreconditionViolated(f"{self.label} is not a product group")
         return sum(c * s for c, s in zip(comps, self._strides))
 
     def decode(self, x: int) -> tuple[int, ...]:
-        assert self.factors is not None, "not a product group"
+        if self.factors is None:
+            raise PreconditionViolated(f"{self.label} is not a product group")
         out = []
         for f, s in zip(self.factors, self._strides):
             q, x = divmod(x, s)
@@ -323,9 +327,11 @@ def product_group(*factors: FiniteGroup) -> FiniteGroup:
 
     An order-1 factor changes neither the row-major indices nor the table, so
     such a product shares the table of the product of its other factors (and
-    with it the fingerprint) while still decoding to one component per factor.
+    with it the fingerprint and the subgroup lattice) while still decoding to
+    one component per factor.
     """
-    assert factors
+    if not factors:
+        raise PreconditionViolated("product_group needs at least one factor")
     if len(factors) == 1:
         return factors[0]
     got = _PRODUCT_MEMO.get(factors)
@@ -336,6 +342,7 @@ def product_group(*factors: FiniteGroup) -> FiniteGroup:
     if len(rest) < len(factors):
         base = product_group(*rest) if rest else factors[0]
         g = FiniteGroup(label, base.table, factors=factors)
+        g._derived["unpadded"] = base
         _PRODUCT_MEMO[factors] = g
         return g
     # (A x B) x C has the row-major encoding of A x B x C, so fold pairwise
@@ -493,18 +500,26 @@ def subgroups(g: FiniteGroup) -> list[Subgroup]:
 
     Their conjugacy classes, as index lists, come with them and are memoized
     as "class_ids": read from the disk cache, or computed together and
-    stored in one file.
+    stored in one file. A product with an order-1 factor takes both from the
+    product of its other factors, which has the same table. On a cache miss,
+    a product of two or more nontrivial factors is enumerated from Goursat
+    data (:func:`_goursat_subgroups`), any other group by cyclic extension
+    (:func:`_enumerate_subgroups`).
     """
     if g.order > DEFAULT_ORDER_BOUND:
         raise OrderBound(f"|{g.label}| = {g.order} exceeds bound {DEFAULT_ORDER_BOUND}")
     subs = g._derived.get("subgroups")
     if subs is not None:
         return subs
-    cached = _cache.load_lattice(g.fingerprint, g.order)
-    if cached is not None:
+    base = g._derived.get("unpadded")
+    if base is not None:
+        member_lists = [s.members for s in subgroups(base)]
+        class_ids = base._derived["class_ids"]
+    elif (cached := _cache.load_lattice(g.fingerprint, g.order)) is not None:
         member_lists, class_ids = cached
     else:
-        member_lists = _enumerate_subgroups(g)
+        member_lists = (_goursat_subgroups(product_group(*g.factors[:-1]), g.factors[-1])
+                        if g.factors else _enumerate_subgroups(g))
         buckets: dict[tuple[int, ...], list[int]] = {}
         for i, m in enumerate(member_lists):
             buckets.setdefault(canonical_subgroup_rep(g, m), []).append(i)
@@ -518,14 +533,86 @@ def subgroups(g: FiniteGroup) -> list[Subgroup]:
     return subs
 
 
+def _sections(g: FiniteGroup) -> dict[int, list[tuple[tuple, tuple]]]:
+    """Pairs (S, N) of subgroups of G with N normal in S, keyed by |S:N|."""
+    got = g._derived.get("sections")
+    if got is None:
+        subs = [s.members for s in subgroups(g)]
+        gens = [_subgroup_generators(g, m) for m in subs]
+        got = {}
+        for s, s_gens in zip(subs, gens):
+            s_set = set(s)
+            for n, n_gens in zip(subs, gens):
+                if len(n) > len(s):
+                    break
+                if len(s) % len(n) or not s_set.issuperset(n):
+                    continue
+                n_set = set(n)
+                if all(g.conj(x, y) in n_set for x in s_gens for y in n_gens):
+                    got.setdefault(len(s) // len(n), []).append((s, n))
+        g._derived["sections"] = got
+    return got
+
+
+def _section_quotient(g: FiniteGroup, s: tuple[int, ...], n: tuple[int, ...]):
+    """S/N as a group, and the coset index of each member of S in order."""
+    grp, _ = sub_as_group(Subgroup(g, s))
+    local = {x: i for i, x in enumerate(s)}
+    q, proj = quotient_group(grp, Subgroup(grp, tuple(sorted(local[x] for x in n))))
+    return q, proj.images
+
+
+def _goursat_subgroups(a: FiniteGroup, b: FiniteGroup,
+                       sec_a: Optional[dict] = None) -> list[tuple[int, ...]]:
+    """Member tuples of the subgroups of A x B, (x, y) encoded as x*|B| + y,
+    sorted by (size, members).
+
+    Each subgroup is {(x, y) : x in S, y in T, theta(xN) = yM} for exactly
+    one pair of sections N <| S <= A and M <| T <= B and one isomorphism
+    theta: S/N -> T/M (Goursat's lemma). ``sec_a`` limits the A side to some
+    of its sections, in the layout of :func:`_sections`.
+    """
+    nb = b.order
+    sec_a = _sections(a) if sec_a is None else sec_a
+    sec_b = _sections(b)
+    # each s, t and block is sorted and y < nb, so each tuple is sorted too
+    out = [tuple(x * nb + y for x in s for y in t)
+           for s, _ in sec_a.get(1, ()) for t, _ in sec_b[1]]
+    for index, pairs_b in sec_b.items():
+        if index == 1 or index not in sec_a:
+            continue
+        buckets: dict = {}
+        for t, m in pairs_b:
+            q, cosets = _section_quotient(b, t, m)
+            blocks = [[] for _ in range(q.order)]
+            for y, c in zip(t, cosets):
+                blocks[c].append(y)
+            buckets.setdefault(order_profile(q), []).append((q, blocks))
+        for s, n in sec_a[index]:
+            qa, cosets = _section_quotient(a, s, n)
+            for qb, blocks in buckets.get(order_profile(qa), ()):
+                phi = is_isomorphic(qa, qb)
+                if phi is None:
+                    continue
+                for aut in automorphisms(qb)[0]:
+                    theta = phi.then(aut).images
+                    out.append(tuple(x * nb + y for x, c in zip(s, cosets)
+                                     for y in blocks[theta[c]]))
+    out.sort(key=lambda m: (len(m), m))
+    return out
+
+
 def _enumerate_subgroups(g: FiniteGroup) -> list[tuple[int, ...]]:
     """Member tuples of all subgroups, sorted by (size, members).
 
-    Uses layered cyclic extension: every discovered subgroup U is extended by
-    each element of its normalizer, which reaches exactly the subgroups with a
-    subnormal cyclic chain, i.e. all solvable subgroups. For a non-solvable
-    parent we fall back to joining with cyclic subgroups to a fixpoint, which
-    is complete for every finite group.
+    :func:`subgroups` runs this on any group that is not a product of two or
+    more nontrivial factors; for products it is the test oracle of
+    :func:`_goursat_subgroups`. Uses layered cyclic extension: every
+    discovered subgroup U is extended by each element of its normalizer,
+    which reaches exactly the subgroups with a subnormal cyclic chain, i.e.
+    all solvable subgroups. For a non-solvable parent we fall back to joining
+    with cyclic subgroups to a fixpoint, which is complete for every finite
+    group.
     """
     t = g.table
     if is_solvable(g):
@@ -717,7 +804,8 @@ class GroupHom:
         return tuple(a for a in range(self.domain.order) if self.images[a] == 0)
 
     def inverse(self) -> "GroupHom":
-        assert self.is_bijective()
+        if not self.is_bijective():
+            raise PreconditionViolated("only a bijective homomorphism has an inverse")
         inv = [0] * self.codomain.order
         for a, b in enumerate(self.images):
             inv[b] = a
@@ -725,7 +813,9 @@ class GroupHom:
 
     def then(self, other: "GroupHom") -> "GroupHom":
         """Composite ``other . self`` (apply self first)."""
-        assert self.codomain is other.domain
+        if self.codomain is not other.domain:
+            raise MiddleMismatch(f"{self.codomain.label} is not the domain "
+                                 f"{other.domain.label} of the second map")
         return GroupHom(self.domain, other.codomain,
                         tuple(other.images[x] for x in self.images))
 
@@ -954,12 +1044,6 @@ def is_isomorphic(g: FiniteGroup, h: FiniteGroup) -> Optional[GroupHom]:
         return None
     homs = all_homs(g, h, bijective=True, first_only=True)
     return homs[0] if homs else None
-
-
-def all_isomorphisms(g: FiniteGroup, h: FiniteGroup) -> list[GroupHom]:
-    if g.order != h.order or order_profile(g) != order_profile(h):
-        return []
-    return all_homs(g, h, bijective=True)
 
 
 # ---------------------------------------------------------------------------

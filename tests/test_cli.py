@@ -331,6 +331,25 @@ def test_bad_input_is_one_error_line(capsys, argv):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+LEADING_MINUS = [
+    (("bouc", "S3", "C2", "-1,0"), ("bouc", "S3", "C2", "--", "-1,0")),
+    (("dress-compose", "C2", "C2", "C2", "C2", "--e", "-1,0,0", "--d", "0,0,0"),
+     ("dress-compose", "C2", "C2", "C2", "C2", "--e=-1,0,0", "--d", "0,0,0")),
+    (("dress-compose", "C2", "C2", "C2", "C2", "--e", "0,0,0", "--d", "-1,0,0"),
+     ("dress-compose", "C2", "C2", "C2", "C2", "--e", "0,0,0", "--d=-1,0,0")),
+]
+
+
+@pytest.mark.parametrize("argv,quoted", LEADING_MINUS, ids=["bouc", "dress-e", "dress-d"])
+def test_generator_with_leading_minus_is_one_error_line(capsys, argv, quoted):
+    # a generator such as '-1,0' is a bad value, not an unknown option
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert (code, out, err) == run(capsys, *quoted)
+
+
 def _c2_element(**term) -> str:
     return json.dumps({"left": "C2", "right": "C2",
                        "terms": [{"num": 1, "den": 1, "class": [0], **term}]})

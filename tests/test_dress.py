@@ -228,7 +228,8 @@ def test_p3_trivial_forces_trivial_kernel():
 
 
 def test_subgroups_with_full_first_matches_bruteforce():
-    for x, y in [(C2, C4), (C3, V4), (C4, C2)]:
+    s3, d8 = make_group("symmetric3"), make_group("dihedral", 8)
+    for x, y in [(C2, C4), (C3, V4), (C4, C2), (s3, s3), (d8, V4)]:
         p = product_group(x, y)
         expect = sorted(
             s.members for s in subgroups(p)

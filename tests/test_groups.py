@@ -1,16 +1,25 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bisetkit
 import bisetkit.cache as cache
 from bisetkit.catalog import groups_up_to
 from bisetkit.errors import InvalidTable, NotNormal, NotSubgroup, OrderBound
 from bisetkit.groups import (
     DEFAULT_ORDER_BOUND,
     FiniteGroup,
+    _enumerate_subgroups,
+    _goursat_subgroups,
     automorphisms,
+    canonical_subgroup_rep,
     center,
     closure,
     conjugate_members,
@@ -363,10 +372,8 @@ def test_subgroup_rejects_non_subgroup():
         subgroup(s3, [0, 1])
 
 
-def test_nonsolvable_fallback_on_a5():
-    # A5 is simple, so it is not a cyclic extension of any proper subgroup;
-    # enumeration must detect non-solvability and switch to the join fixpoint
-    elems = [0]
+def _a5() -> FiniteGroup:
+    """A5 from its table, the even permutations of 0..4."""
     index = {(0, 1, 2, 3, 4): 0}
     order = [(0, 1, 2, 3, 4)]
     gens = [(1, 2, 3, 4, 0), (1, 2, 0, 3, 4)]
@@ -382,7 +389,13 @@ def test_nonsolvable_fallback_on_a5():
     assert len(order) == 60
     table = [[index[tuple(a[b[j]] for j in range(5))] for b in order]
              for a in order]
-    a5 = make_group("from_table", table)
+    return make_group("from_table", table)
+
+
+def test_nonsolvable_fallback_on_a5():
+    # A5 is simple, so it is not a cyclic extension of any proper subgroup;
+    # enumeration must detect non-solvability and switch to the join fixpoint
+    a5 = _a5()
     from bisetkit.groups import is_solvable
     assert not is_solvable(a5)
     subs = subgroups(a5)
@@ -440,3 +453,81 @@ def test_lattice_miss_writes_one_file_with_classes(tmp_path, monkeypatch):
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
     finally:
         cache.set_cache_dir(str(previous) if previous else None)
+
+
+def _goursat_products():
+    """Catalog pairs with |G x K| <= 64, triples H x K x C with |H|, |K| <= 4
+    and C in {C1, C2, C3}, and the non-solvable A5 x C2."""
+    cat = groups_up_to(15)
+    pairs = [(g, k) for i, g in enumerate(cat) for k in cat[i:]
+             if g.order * k.order <= 64]
+    small = [g for g in cat if g.order <= 4]
+    triples = [(h, k, make_group("cyclic", n))
+               for h in small for k in small for n in (1, 2, 3)]
+    return [product_group(*f) for f in pairs + triples] \
+        + [product_group(_a5(), make_group("cyclic", 2))]
+
+
+def test_goursat_lattice_matches_cyclic_extension():
+    for p in _goursat_products():
+        want = _enumerate_subgroups(p)
+        if all(f.order > 1 for f in p.factors):
+            a, b = product_group(*p.factors[:-1]), p.factors[-1]
+            assert _goursat_subgroups(a, b) == want, p.label
+        assert [s.members for s in subgroups(p)] == want, p.label
+        classes: dict = {}
+        for m in want:
+            classes.setdefault(canonical_subgroup_rep(p, m), []).append(m)
+        assert [list(c.members) for c in subgroup_classes(p)] == list(classes.values()), p.label
+
+
+def test_goursat_lattice_matches_bruteforce():
+    products = {id(p.table): p for p in _goursat_products() if p.order <= 16}
+    for p in products.values():
+        assert [s.members for s in subgroups(p)] == subgroups_bruteforce(p), p.label
+
+
+def test_order_one_factor_shares_the_lattice(monkeypatch):
+    h = FiniteGroup("S3c", make_group("symmetric3").table)
+    k = FiniteGroup("C4c", make_group("cyclic", 4).table)
+    plain = subgroups(product_group(h, k))
+    calls = []
+    for name in ("store_lattice", "load_lattice"):
+        real = getattr(cache, name)
+        monkeypatch.setattr(cache, name,
+                            lambda *a, name=name, real=real: calls.append(name) or real(*a))
+    padded = product_group(h, k, make_group("cyclic", 1))
+    subs = subgroups(padded)
+    assert calls == []
+    assert [s.members for s in subs] == [s.members for s in plain]
+    assert all(s.parent is padded for s in subs)
+    assert len(subgroup_classes(padded)) == len(subgroup_classes(product_group(h, k)))
+
+
+def test_group_checks_survive_optimize(tmp_path):
+    # each precondition reachable through the public API raises a typed error
+    # under python -O, where an assert would be stripped
+    code = textwrap.dedent("""
+        from bisetkit.errors import MiddleMismatch, PreconditionViolated
+        from bisetkit.groups import GroupHom, identity_hom, make_group, product_group
+        c2, c3 = make_group("cyclic", 2), make_group("cyclic", 3)
+        cases = [
+            (PreconditionViolated, lambda: c3.encode((0,))),
+            (PreconditionViolated, lambda: c3.decode(0)),
+            (PreconditionViolated, lambda: product_group()),
+            (PreconditionViolated, lambda: GroupHom(c2, c2, (0, 0)).inverse()),
+            (MiddleMismatch, lambda: identity_hom(c2).then(identity_hom(c3))),
+        ]
+        for i, (err, fn) in enumerate(cases):
+            try:
+                fn()
+            except err:
+                continue
+            raise SystemExit(f"case {i}: no {err.__name__} under -O")
+    """)
+    src = str(Path(bisetkit.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONOPTIMIZE"}
+    env["PYTHONPATH"] = src
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

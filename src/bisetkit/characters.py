@@ -30,11 +30,14 @@ from .groups import (
     FiniteGroup,
     Subgroup,
     SubgroupClass,
+    _memo,
     all_homs,
+    canonical_subgroup_rep,
     class_index_map,
     closure,
     conjugacy_classes,
     derived_subgroup,
+    left_cosets,
     make_group,
     mobius_int,
     product_group,
@@ -134,7 +137,6 @@ def perm_character(g: FiniteGroup, c: Subgroup) -> CharacterVector:
     if c.parent is not g:
         raise NotSubgroup(f"perm_character: the subgroup is not one of {g.label}")
     vals = []
-    from .groups import left_cosets
     cosets = left_cosets(g, c.members)
     t, inv = g.table, g.inv
     mset = c.member_set()
@@ -177,44 +179,33 @@ class RQElement:
     coeffs: dict[tuple[int, ...], Fraction]  # class rep members -> coefficient
 
     def coefficient(self, members: Sequence[int]) -> Fraction:
-        from .groups import canonical_subgroup_rep
         return self.coeffs.get(canonical_subgroup_rep(self.group, tuple(sorted(members))),
                                Fraction(0))
 
 
 def cyclic_subgroups(g: FiniteGroup) -> list[tuple[int, ...]]:
     """All cyclic subgroups as sorted member tuples, deterministic order."""
-    got = g._derived.get("cyclic_subgroups")
-    if got is None:
-        got = sorted({closure(g, [a]) for a in range(g.order)},
-                     key=lambda m: (len(m), m))
-        g._derived["cyclic_subgroups"] = got
-    return got
+    return _memo(g, "cyclic_subgroups", lambda: sorted(
+        {closure(g, [a]) for a in range(g.order)}, key=lambda m: (len(m), m)))
 
 
 def rq_cyclic_basis(g: FiniteGroup) -> list[SubgroupClass]:
     """Conjugacy classes of cyclic subgroups, the Artin basis indexing."""
-    got = g._derived.get("rq_basis")
-    if got is not None:
-        return got
-    from .groups import canonical_subgroup_rep
-    reps: dict[tuple[int, ...], set] = {}
-    for m in cyclic_subgroups(g):
-        rep = canonical_subgroup_rep(g, m)
-        reps.setdefault(rep, set()).add(m)
-    classes = []
-    for rep in sorted(reps, key=lambda m: (len(m), m)):
-        classes.append(SubgroupClass(Subgroup(g, rep), tuple(sorted(reps[rep]))))
-    g._derived["rq_basis"] = classes
-    return classes
+    def build() -> list[SubgroupClass]:
+        reps: dict[tuple[int, ...], set] = {}
+        for m in cyclic_subgroups(g):
+            reps.setdefault(canonical_subgroup_rep(g, m), set()).add(m)
+        return [SubgroupClass(Subgroup(g, rep), tuple(sorted(reps[rep])))
+                for rep in sorted(reps, key=lambda m: (len(m), m))]
+    return _memo(g, "rq_cyclic_basis", build, bound=True)
 
 
 def rq_class_index_map(g: FiniteGroup) -> tuple[int, ...]:
     """Element x -> index in rq_cyclic_basis of the class of <x>, its rational class."""
-    if "rq_class_index" not in g._derived:
+    def build() -> tuple[int, ...]:
         index = {m: i for i, cls in enumerate(rq_cyclic_basis(g)) for m in cls.members}
-        g._derived["rq_class_index"] = tuple(index[closure(g, [x])] for x in range(g.order))
-    return g._derived["rq_class_index"]
+        return tuple(index[closure(g, [x])] for x in range(g.order))
+    return _memo(g, "rq_class_index_map", build)
 
 
 def artin_coefficients(tau: CharacterVector) -> RQElement:
@@ -362,9 +353,11 @@ def character_table(g: FiniteGroup) -> list[CharacterVector]:
     """
     if g.order > CHARACTER_TABLE_BOUND:
         raise OrderBound(f"character table beyond bound: |{g.label}| = {g.order}")
-    got = g._derived.get("char_table")
-    if got is not None:
-        return got
+    return _memo(g, "character_table", lambda: _irreducibles(g), bound=True)
+
+
+def _irreducibles(g: FiniteGroup) -> list[CharacterVector]:
+    """The verified, sorted irreducibles of :func:`character_table`."""
     r = len(conjugacy_classes(g))
     e = g.exponent
     irreducibles: list[CharacterVector] = []
@@ -419,7 +412,6 @@ def character_table(g: FiniteGroup) -> list[CharacterVector]:
                 raise CharacterTableError(
                     f"orthogonality fails for {g.label} at ({i},{j})")
     irreducibles.sort(key=lambda c: _char_sort_key(c, e))
-    g._derived["char_table"] = irreducibles
     return irreducibles
 
 

@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Results go to stdout (optionally as JSON), progress and errors to stderr.
-Exit codes: 0 success, 1 computational assertion failure, 2 usage error.
+Exit codes: 0 success, 1 a bisetkit error (bad input or a failed check), 2 usage error.
 """
 
 from __future__ import annotations
@@ -493,9 +493,6 @@ def main(argv=None) -> int:
         return args.fn(args)
     except BisetkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except AssertionError as exc:
-        print(f"assertion failure: {exc}", file=sys.stderr)
         return 1
 
 

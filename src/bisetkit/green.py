@@ -15,6 +15,7 @@ functions, and their ideal rows compose (rational) class indicators.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -35,6 +36,7 @@ from .errors import (AuditFailed, CatalogInsufficient, NotDivisor, OracleInconsi
                      OrderBound, PreconditionViolated)
 from .groups import (
     FiniteGroup,
+    _memo,
     automorphisms,
     canonical_subgroup_rep,
     class_index_map,
@@ -126,12 +128,10 @@ class RBCBackend:
         self.c = c
 
     def _index(self, h, g) -> dict[tuple[int, ...], int]:
-        """Class rep -> basis index, memoized on the product group."""
+        """Class rep -> basis index, memoized per table of the product group."""
         p = product_group(h, g, self.c)
-        if "class_rep_index" not in p._derived:
-            p._derived["class_rep_index"] = {
-                cls.representative.members: i for i, cls in enumerate(subgroup_classes(p))}
-        return p._derived["class_rep_index"]
+        return _memo(p, "class_rep_index", lambda: {
+            cls.representative.members: i for i, cls in enumerate(subgroup_classes(p))})
 
     def basis_labels(self, h, g) -> list[tuple[int, ...]]:
         return list(self._index(h, g))
@@ -376,7 +376,6 @@ def unit_characters(m: int) -> list[UnitCharacter]:
                 frontier.append(y)
     assert len(logs) == len(units), f"unit group of {m}: generators incomplete"
     out = []
-    import itertools
     for choices in itertools.product(*[range(o) for _, o in gens]):
         vals = []
         for u in units:

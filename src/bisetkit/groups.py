@@ -3,15 +3,22 @@
 Elements of a group of order n are the integers 0..n-1, with 0 the identity.
 Constructors enumerate elements canonically: identity first, then generator
 words in breadth-first (length-lex) order, so element indices are reproducible
-across runs. Groups are immutable; derived data (element orders, conjugacy
-classes, subgroup lattices) is cached on the instance.
+across runs. Groups are immutable, and derived data is computed once through
+:func:`_memo` into one of two stores. Data that depends only on the table
+(element orders, conjugacy classes, canonical representatives, double cosets,
+the subgroup lattice as member tuples and class ids) goes to the table memo,
+one dict shared by every group with an equal table. Values that hold the group
+itself (its Subgroup list, automorphisms, character table, and the subgroups
+and quotients labelled after it) go to the group's own memo.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
+import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
 from . import cache as _cache
 from .errors import (
@@ -26,6 +33,10 @@ from .errors import (
 DEFAULT_ORDER_BOUND = 256
 BRUTEFORCE_BOUND = 16
 
+_T = TypeVar("_T")
+# table -> its table memo; see _memo
+_TABLE_MEMOS: dict = {}
+
 
 class FiniteGroup:
     """A finite group given by its full multiplication table.
@@ -35,13 +46,16 @@ class FiniteGroup:
     indices row-major, e.g. (g, h) <-> g*|H| + h.
     """
 
-    __slots__ = ("label", "order", "table", "inv", "factors", "_strides", "_derived")
+    __slots__ = ("label", "order", "table", "inv", "factors", "_strides",
+                 "_group_memo", "_table_memo")
 
     def __init__(self, label: str, table: Sequence[Sequence[int]],
                  factors: Optional[tuple["FiniteGroup", ...]] = None):
         self.label = label
-        # a tuple table is immutable already, so groups can share one
-        self.table = table if isinstance(table, tuple) else tuple(map(tuple, table))
+        # a tuple of tuples is immutable already, so groups can share one
+        if not (isinstance(table, tuple) and all(type(r) is tuple for r in table)):
+            table = tuple(map(tuple, table))
+        self.table = table
         self.order = len(self.table)
         try:
             self.inv = tuple(row.index(0) for row in self.table)
@@ -57,7 +71,8 @@ class FiniteGroup:
             self._strides = tuple(reversed(strides))
         else:
             self._strides = None
-        self._derived: dict = {}
+        self._group_memo: dict = {}
+        self._table_memo: dict = _TABLE_MEMOS.setdefault(table, {})
 
     # -- arithmetic --------------------------------------------------------
 
@@ -83,37 +98,27 @@ class FiniteGroup:
         return r
 
     def element_order(self, a: int) -> int:
-        orders = self._derived.get("elt_orders")
-        if orders is None:
-            orders = []
-            for x in range(self.order):
-                n, y = 1, x
-                while y != 0:
-                    y = self.table[y][x]
-                    n += 1
-                orders.append(n)
-            orders = tuple(orders)
-            self._derived["elt_orders"] = orders
-        return orders[a]
+        return _memo(self, "element_orders", self._element_orders)[a]
+
+    def _element_orders(self) -> tuple[int, ...]:
+        orders = []
+        for x in range(self.order):
+            n, y = 1, x
+            while y != 0:
+                y = self.table[y][x]
+                n += 1
+            orders.append(n)
+        return tuple(orders)
 
     @property
     def exponent(self) -> int:
-        e = self._derived.get("exponent")
-        if e is None:
-            e = 1
-            for a in range(self.order):
-                e = _lcm(e, self.element_order(a))
-            self._derived["exponent"] = e
-        return e
+        return _memo(self, "exponent", lambda: math.lcm(
+            *(self.element_order(a) for a in range(self.order))))
 
     @property
     def is_abelian(self) -> bool:
-        v = self._derived.get("abelian")
-        if v is None:
-            v = all(self.table[a][b] == self.table[b][a]
-                    for a in range(self.order) for b in range(a))
-            self._derived["abelian"] = v
-        return v
+        # abelian exactly when the table equals its transpose
+        return _memo(self, "is_abelian", lambda: self.table == tuple(zip(*self.table)))
 
     # -- product index maps ------------------------------------------------
 
@@ -135,20 +140,29 @@ class FiniteGroup:
 
     @property
     def fingerprint(self) -> str:
-        fp = self._derived.get("fingerprint")
-        if fp is None:
-            # the table is a tuple of int sequences, so its repr is injective
-            fp = hashlib.sha256(repr(self.table).encode()).hexdigest()
-            self._derived["fingerprint"] = fp
-        return fp
+        # the table is a tuple of int tuples, so its repr is injective
+        return _memo(self, "fingerprint",
+                     lambda: hashlib.sha256(repr(self.table).encode()).hexdigest())
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.label!r}, order={self.order})"
 
 
-def _lcm(a: int, b: int) -> int:
-    from math import gcd
-    return a // gcd(a, b) * b
+def _memo(g: FiniteGroup, key: str, compute: Callable[[], _T], bound: bool = False) -> _T:
+    """The value ``compute()`` stored under ``key`` for G, computed once.
+
+    By default it goes to the table memo, which every group with an equal
+    table shares, so it may hold only data: ints, tuples, member lists, class
+    ids and dicts keyed by member tuples. A value that holds G itself (a
+    Subgroup, GroupHom, CharacterVector, or a group labelled after G) is
+    stored with ``bound`` in G's own memo. A keyed memo is a dict stored here
+    with ``compute=dict``. No other module reads either store directly.
+    """
+    store = g._group_memo if bound else g._table_memo
+    got = store.get(key)
+    if got is None:
+        got = store[key] = compute()
+    return got
 
 
 # ---------------------------------------------------------------------------
@@ -326,9 +340,9 @@ def product_group(*factors: FiniteGroup) -> FiniteGroup:
     """Direct product with row-major index maps; memoized on factor identity.
 
     An order-1 factor changes neither the row-major indices nor the table, so
-    such a product shares the table of the product of its other factors (and
-    with it the fingerprint and the subgroup lattice) while still decoding to
-    one component per factor.
+    such a product gets the table object of the product of its other factors,
+    and with it every table memo (fingerprint, classes, subgroup lattice),
+    while still decoding to one component per factor.
     """
     if not factors:
         raise PreconditionViolated("product_group needs at least one factor")
@@ -342,7 +356,6 @@ def product_group(*factors: FiniteGroup) -> FiniteGroup:
     if len(rest) < len(factors):
         base = product_group(*rest) if rest else factors[0]
         g = FiniteGroup(label, base.table, factors=factors)
-        g._derived["unpadded"] = base
         _PRODUCT_MEMO[factors] = g
         return g
     # (A x B) x C has the row-major encoding of A x B x C, so fold pairwise
@@ -368,7 +381,9 @@ class Subgroup:
     members: tuple[int, ...]
 
     def __post_init__(self):
-        assert self.members and self.members[0] == 0
+        if not self.members or self.members[0] != 0:
+            raise PreconditionViolated(
+                f"a subgroup of {self.parent.label} must list the identity 0 first")
 
     @property
     def order(self) -> int:
@@ -417,10 +432,8 @@ def closure(g: FiniteGroup, seed: Iterable[int]) -> tuple[int, ...]:
 
 def generating_sequence(g: FiniteGroup) -> tuple[int, ...]:
     """Greedy small generating sequence, deterministic."""
-    got = g._derived.get("gens")
-    if got is None:
-        got = g._derived["gens"] = tuple(_subgroup_generators(g, range(g.order)))
-    return got
+    return _memo(g, "generating_sequence",
+                 lambda: tuple(_subgroup_generators(g, range(g.order))))
 
 
 def conjugate_members(g: FiniteGroup, members: Sequence[int], x: int) -> tuple[int, ...]:
@@ -460,25 +473,20 @@ def is_normal(g: FiniteGroup, members: Sequence[int]) -> bool:
 
 
 def center(g: FiniteGroup) -> tuple[int, ...]:
-    got = g._derived.get("center")
-    if got is None:
-        t = g.table
-        got = tuple(a for a in range(g.order)
-                    if all(t[a][b] == t[b][a] for b in range(g.order)))
-        g._derived["center"] = got
-    return got
+    t = g.table
+    return _memo(g, "center", lambda: tuple(
+        a for a in range(g.order) if all(t[a][b] == t[b][a] for b in range(g.order))))
 
 
 def is_solvable(g: FiniteGroup) -> bool:
     """Whether the derived series of G reaches the trivial group."""
-    got = g._derived.get("solvable")
-    if got is None:
+    def build() -> bool:
         current = tuple(range(g.order))
         derived = _commutator_closure(g, current)
         while len(derived) < len(current):
             current, derived = derived, _commutator_closure(g, derived)
-        got = g._derived["solvable"] = len(current) == 1
-    return got
+        return len(current) == 1
+    return _memo(g, "is_solvable", build)
 
 
 def derived_subgroup(g: FiniteGroup) -> tuple[int, ...]:
@@ -498,28 +506,32 @@ def _commutator_closure(g: FiniteGroup, members: Sequence[int]) -> tuple[int, ..
 def subgroups(g: FiniteGroup) -> list[Subgroup]:
     """All subgroups, sorted by (size, member tuple).
 
-    Their conjugacy classes, as index lists, come with them and are memoized
-    as "class_ids": read from the disk cache, or computed together and
-    stored in one file. A product with an order-1 factor takes both from the
-    product of its other factors, which has the same table. On a cache miss,
-    a product of two or more nontrivial factors is enumerated from Goursat
-    data (:func:`_goursat_subgroups`), any other group by cyclic extension
-    (:func:`_enumerate_subgroups`).
-    """
+    The member tuples come from :func:`_lattice`, once per table; only the
+    Subgroup objects, which point at G, are made per group."""
     if g.order > DEFAULT_ORDER_BOUND:
         raise OrderBound(f"|{g.label}| = {g.order} exceeds bound {DEFAULT_ORDER_BOUND}")
-    subs = g._derived.get("subgroups")
-    if subs is not None:
-        return subs
-    base = g._derived.get("unpadded")
-    if base is not None:
-        member_lists = [s.members for s in subgroups(base)]
-        class_ids = base._derived["class_ids"]
-    elif (cached := _cache.load_lattice(g.fingerprint, g.order)) is not None:
-        member_lists, class_ids = cached
-    else:
-        member_lists = (_goursat_subgroups(product_group(*g.factors[:-1]), g.factors[-1])
-                        if g.factors else _enumerate_subgroups(g))
+    return _memo(g, "subgroups", lambda: [Subgroup(g, m) for m in _lattice(g)[0]],
+                 bound=True)
+
+
+def _lattice(g: FiniteGroup) -> tuple[list[tuple[int, ...]], list[list[int]]]:
+    """Member tuples of all subgroups, sorted by (size, members), and their
+    conjugacy classes as index lists; once per table.
+
+    Both are read from the disk cache, or computed together and stored in one
+    file. On a cache miss, a product of two or more nontrivial factors is
+    enumerated from Goursat data (:func:`_goursat_subgroups`), any other
+    group by cyclic extension (:func:`_enumerate_subgroups`).
+    """
+    def build():
+        cached = _cache.load_lattice(g.fingerprint, g.order)
+        if cached is not None:
+            return cached
+        # an order-1 factor leaves the table alone, so splitting off only
+        # nontrivial factors keeps the split from asking for G's own lattice
+        factors = [f for f in g.factors or () if f.order > 1]
+        member_lists = (_goursat_subgroups(product_group(*factors[:-1]), factors[-1])
+                        if len(factors) > 1 else _enumerate_subgroups(g))
         buckets: dict[tuple[int, ...], list[int]] = {}
         for i, m in enumerate(member_lists):
             buckets.setdefault(canonical_subgroup_rep(g, m), []).append(i)
@@ -528,18 +540,16 @@ def subgroups(g: FiniteGroup) -> list[Subgroup]:
         class_ids = list(buckets.values())
         _cache.store_lattice(g.fingerprint, g.order,
                              [list(m) for m in member_lists], class_ids)
-    g._derived["class_ids"] = class_ids
-    subs = g._derived["subgroups"] = [Subgroup(g, m) for m in member_lists]
-    return subs
+        return member_lists, class_ids
+    return _memo(g, "lattice", build)
 
 
 def _sections(g: FiniteGroup) -> dict[int, list[tuple[tuple, tuple]]]:
     """Pairs (S, N) of subgroups of G with N normal in S, keyed by |S:N|."""
-    got = g._derived.get("sections")
-    if got is None:
-        subs = [s.members for s in subgroups(g)]
+    def build():
+        subs = _lattice(g)[0]
         gens = [_subgroup_generators(g, m) for m in subs]
-        got = {}
+        out: dict[int, list[tuple[tuple, tuple]]] = {}
         for s, s_gens in zip(subs, gens):
             s_set = set(s)
             for n, n_gens in zip(subs, gens):
@@ -549,9 +559,9 @@ def _sections(g: FiniteGroup) -> dict[int, list[tuple[tuple, tuple]]]:
                     continue
                 n_set = set(n)
                 if all(g.conj(x, y) in n_set for x in s_gens for y in n_gens):
-                    got.setdefault(len(s) // len(n), []).append((s, n))
-        g._derived["sections"] = got
-    return got
+                    out.setdefault(len(s) // len(n), []).append((s, n))
+        return out
+    return _memo(g, "_sections", build)
 
 
 def _section_quotient(g: FiniteGroup, s: tuple[int, ...], n: tuple[int, ...]):
@@ -693,13 +703,10 @@ class SubgroupClass:
 
 def subgroup_classes(g: FiniteGroup) -> list[SubgroupClass]:
     """Conjugacy classes of subgroups, ordered by (size, representative)."""
-    got = g._derived.get("subgroup_classes")
-    if got is None:
-        subs = subgroups(g)
-        got = g._derived["subgroup_classes"] = [
-            SubgroupClass(subs[ids[0]], tuple(subs[j].members for j in ids))
-            for ids in g._derived["class_ids"]]
-    return got
+    subs = subgroups(g)
+    return _memo(g, "subgroup_classes", lambda: [
+        SubgroupClass(subs[ids[0]], tuple(subs[j].members for j in ids))
+        for ids in _lattice(g)[1]], bound=True)
 
 
 def canonical_subgroup_rep(g: FiniteGroup, members: Sequence[int]) -> tuple[int, ...]:
@@ -707,7 +714,7 @@ def canonical_subgroup_rep(g: FiniteGroup, members: Sequence[int]) -> tuple[int,
     ms = tuple(sorted(members))
     if g.is_abelian:
         return ms
-    memo = g._derived.setdefault("canon", {})
+    memo = _memo(g, "canon", dict)
     got = memo.get(ms)
     if got is not None:
         return got
@@ -753,7 +760,7 @@ def double_cosets(g: FiniteGroup, u: Subgroup, v: Subgroup) -> list[int]:
     if u.parent is not g or v.parent is not g:
         raise NotSubgroup("double_cosets: subgroups of a different parent")
     key = (u.members, v.members)
-    memo = g._derived.setdefault("double_cosets", {})
+    memo = _memo(g, "double_cosets", dict)
     got = memo.get(key)
     if got is not None:
         return got
@@ -826,7 +833,7 @@ def identity_hom(g: FiniteGroup) -> GroupHom:
 
 def sub_as_group(s: Subgroup) -> tuple[FiniteGroup, GroupHom]:
     """The subgroup as its own FiniteGroup plus the inclusion hom."""
-    memo = s.parent._derived.setdefault("subgroup_groups", {})
+    memo = _memo(s.parent, "sub_as_group", dict, bound=True)
     got = memo.get(s.members)
     if got is not None:
         return got
@@ -845,7 +852,7 @@ def quotient_group(g: FiniteGroup, n: Subgroup) -> tuple[FiniteGroup, GroupHom]:
     if n.parent is not g:
         raise NotSubgroup("quotient_group: subgroup of a different parent")
     # only quotients by normal subgroups are stored, so a hit needs no scan
-    memo = g._derived.setdefault("quotients", {})
+    memo = _memo(g, "quotient_group", dict, bound=True)
     got = memo.get(n.members)
     if got is not None:
         return got
@@ -871,42 +878,38 @@ def quotient_group(g: FiniteGroup, n: Subgroup) -> tuple[FiniteGroup, GroupHom]:
 
 def conjugacy_classes(g: FiniteGroup) -> list[tuple[int, ...]]:
     """Element conjugacy classes, each sorted, ordered by least element."""
-    got = g._derived.get("conj_classes")
-    if got is not None:
-        return got
-    gens = generating_sequence(g)
-    seen = [False] * g.order
-    classes = []
-    for a in range(g.order):
-        if seen[a]:
-            continue
-        orbit = {a}
-        frontier = [a]
-        while frontier:
-            x = frontier.pop()
-            for s in gens:
-                y = g.conj(s, x)
-                if y not in orbit:
-                    orbit.add(y)
-                    frontier.append(y)
-        cls = tuple(sorted(orbit))
-        for y in cls:
-            seen[y] = True
-        classes.append(cls)
-    g._derived["conj_classes"] = classes
-    return classes
+    def build() -> list[tuple[int, ...]]:
+        gens = generating_sequence(g)
+        seen = [False] * g.order
+        classes = []
+        for a in range(g.order):
+            if seen[a]:
+                continue
+            orbit = {a}
+            frontier = [a]
+            while frontier:
+                x = frontier.pop()
+                for s in gens:
+                    y = g.conj(s, x)
+                    if y not in orbit:
+                        orbit.add(y)
+                        frontier.append(y)
+            cls = tuple(sorted(orbit))
+            for y in cls:
+                seen[y] = True
+            classes.append(cls)
+        return classes
+    return _memo(g, "conjugacy_classes", build)
 
 
 def class_index_map(g: FiniteGroup) -> tuple[int, ...]:
-    got = g._derived.get("class_index")
-    if got is None:
+    def build() -> tuple[int, ...]:
         idx = [0] * g.order
         for i, cls in enumerate(conjugacy_classes(g)):
             for x in cls:
                 idx[x] = i
-        got = tuple(idx)
-        g._derived["class_index"] = got
-    return got
+        return tuple(idx)
+    return _memo(g, "class_index_map", build)
 
 
 # ---------------------------------------------------------------------------
@@ -983,7 +986,6 @@ def all_homs(g: FiniteGroup, h: FiniteGroup, *, surjective: bool = False,
                     return False
         return True
 
-    import itertools
     for images in itertools.product(*cands):
         img = _induced_map(g, h, gens, plan, images)
         if bijective and len(set(img)) != h.order:
@@ -1003,25 +1005,19 @@ def automorphisms(g: FiniteGroup) -> tuple[list[GroupHom], list[GroupHom], int]:
     """All automorphisms, the inner ones, and |Out(G)|."""
     if g.order > DEFAULT_ORDER_BOUND:
         raise OrderBound(f"|{g.label}| exceeds bound {DEFAULT_ORDER_BOUND}")
-    got = g._derived.get("automorphisms")
-    if got is not None:
-        return got
-    if g.order != 1:
-        auts = all_homs(g, g, bijective=True)
-    else:
-        auts = [identity_hom(g)]
-    inner_images = set()
-    inner = []
-    for x in range(g.order):
-        im = tuple(g.conj(x, a) for a in range(g.order))
-        if im not in inner_images:
-            inner_images.add(im)
-            inner.append(GroupHom(g, g, im))
-    out_order = len(auts) // len(inner)
-    assert len(auts) % len(inner) == 0
-    got = (auts, inner, out_order)
-    g._derived["automorphisms"] = got
-    return got
+
+    def build():
+        auts = all_homs(g, g, bijective=True) if g.order != 1 else [identity_hom(g)]
+        inner_images = set()
+        inner = []
+        for x in range(g.order):
+            im = tuple(g.conj(x, a) for a in range(g.order))
+            if im not in inner_images:
+                inner_images.add(im)
+                inner.append(GroupHom(g, g, im))
+        assert len(auts) % len(inner) == 0
+        return auts, inner, len(auts) // len(inner)
+    return _memo(g, "automorphisms", build, bound=True)
 
 
 def order_profile(g: FiniteGroup) -> tuple[tuple[int, int], ...]:

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -11,17 +12,27 @@ from hypothesis import strategies as st
 
 import bisetkit
 import bisetkit.cache as cache
+import bisetkit.groups as groups
+from bisetkit.bisets import all_transitive_classes, bouc_decompose, element_of, recompose
 from bisetkit.catalog import groups_up_to
+from bisetkit.characters import CharacterVector, character_table
+from bisetkit.dress import DressElement, TripleSubgroup
 from bisetkit.errors import InvalidTable, NotNormal, NotSubgroup, OrderBound
+from bisetkit.green import CRCBackend, RBBackend, RBCBackend, RQBackend, ideal_span
 from bisetkit.groups import (
+    _TABLE_MEMOS,
     DEFAULT_ORDER_BOUND,
     FiniteGroup,
+    GroupHom,
+    Subgroup,
+    SubgroupClass,
     _enumerate_subgroups,
     _goursat_subgroups,
     automorphisms,
     canonical_subgroup_rep,
     center,
     closure,
+    conjugacy_classes,
     conjugate_members,
     double_cosets,
     is_isomorphic,
@@ -403,14 +414,36 @@ def test_nonsolvable_fallback_on_a5():
     assert subs[-1].order == 60
 
 
+def _relabelled(g: FiniteGroup, shift: int) -> list[list[int]]:
+    """G's table with the elements 1..n-1 rotated by ``shift``: a group table
+    of its own, so its memos start empty in this process."""
+    n = g.order
+    p = [0] + [(a - 1 + shift) % (n - 1) + 1 for a in range(1, n)]
+    table = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            table[p[a]][p[b]] = p[g.table[a][b]]
+    return table
+
+
+def _in_fresh_process(code: str, cache_dir) -> list:
+    """Run ``code`` in a new interpreter on ``cache_dir``; it prints one JSON value."""
+    src = str(Path(bisetkit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    prelude = ("import json\nimport bisetkit.cache as cache\n"
+               f"cache.set_cache_dir({str(cache_dir)!r})\n")
+    proc = subprocess.run([sys.executable, "-c", prelude + textwrap.dedent(code)], env=env,
+                          cwd=cache_dir, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    return json.loads(proc.stdout)
+
+
 def test_lattice_disk_cache_roundtrip(tmp_path):
     previous = cache.cache_dir()
     cache.set_cache_dir(str(tmp_path))
     try:
-        g = make_group("dihedral", 12)
-        g._derived.pop("subgroups", None)
-        g._derived.pop("subgroup_classes", None)
-        g._derived.pop("class_ids", None)
+        table = _relabelled(make_group("dihedral", 12), 5)
+        g = FiniteGroup("D12r", table)
         subs = subgroups(g)
         classes = subgroup_classes(g)
         files = list(tmp_path.glob("*.json"))
@@ -420,13 +453,27 @@ def test_lattice_disk_cache_roundtrip(tmp_path):
         assert doc["hash"] == g.fingerprint
         assert doc["subgroups"] == [list(s.members) for s in subs]
         assert all(isinstance(ids, list) for ids in doc["classes"])
-        # a fresh object with the same table must load from disk
-        g2 = make_group("from_table", g.table)
-        subs2 = subgroups(g2)
-        assert [s.members for s in subs2] == [s.members for s in subs]
-        assert len(subgroup_classes(g2)) == len(classes)
     finally:
         cache.set_cache_dir(str(previous) if previous else None)
+    # an equal table in a fresh process must load from disk and store nothing
+    loaded, members, n_classes = _in_fresh_process(f"""
+        from bisetkit.groups import FiniteGroup, subgroup_classes, subgroups
+        loads = []
+        load = cache.load_lattice
+
+        def counted_load(*a):
+            got = load(*a)
+            loads.append(got is not None)
+            return got
+        cache.load_lattice = counted_load
+        cache.store_lattice = lambda *a: loads.append("stored")
+        g = FiniteGroup("D12", {table!r})
+        members = [list(s.members) for s in subgroups(g)]
+        print(json.dumps([loads, members, len(subgroup_classes(g))]))
+    """, tmp_path)
+    assert loaded == [True]
+    assert members == [list(s.members) for s in subs]
+    assert n_classes == len(classes)
 
 
 def test_lattice_miss_writes_one_file_with_classes(tmp_path, monkeypatch):
@@ -436,23 +483,29 @@ def test_lattice_miss_writes_one_file_with_classes(tmp_path, monkeypatch):
     store = cache.store_lattice
     monkeypatch.setattr(cache, "store_lattice", lambda *a: stores.append(a) or store(*a))
     try:
-        table = make_group("dihedral", 12).table
+        table = _relabelled(make_group("dihedral", 12), 7)
         g = FiniteGroup("D12a", table)
         subgroups(g)
-        subgroup_classes(g)
+        n_classes = len(subgroup_classes(g))
         assert len(stores) == 1 and stores[0][3] is not None
-        # a file without classes is a miss, recomputed and written again
-        path = next(tmp_path.glob("*.json"))
-        doc = json.loads(path.read_text())
-        del doc["classes"]
-        path.write_text(json.dumps(doc))
-        g2 = FiniteGroup("D12b", table)
-        assert len(subgroup_classes(g2)) == len(subgroup_classes(g))
-        assert len(stores) == 2
-        assert "classes" in json.loads(path.read_text())
-        assert [p.name for p in tmp_path.iterdir()] == [path.name]
     finally:
         cache.set_cache_dir(str(previous) if previous else None)
+    # a file without classes is a miss, recomputed and written again
+    path = next(tmp_path.glob("*.json"))
+    doc = json.loads(path.read_text())
+    del doc["classes"]
+    path.write_text(json.dumps(doc))
+    n_classes2, n_stores = _in_fresh_process(f"""
+        from bisetkit.groups import FiniteGroup, subgroup_classes
+        stores = []
+        store = cache.store_lattice
+        cache.store_lattice = lambda *a: stores.append(a) or store(*a)
+        n_classes = len(subgroup_classes(FiniteGroup("D12b", {table!r})))
+        print(json.dumps([n_classes, len(stores)]))
+    """, tmp_path)
+    assert (n_classes2, n_stores) == (n_classes, 1)
+    assert "classes" in json.loads(path.read_text())
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
 def _goursat_products():
@@ -504,14 +557,108 @@ def test_order_one_factor_shares_the_lattice(monkeypatch):
     assert len(subgroup_classes(padded)) == len(subgroup_classes(product_group(h, k)))
 
 
+def test_equal_tables_share_table_memos_only():
+    table = _relabelled(make_group("symmetric3"), 2)
+    a, b = FiniteGroup("S3a", table), FiniteGroup("S3b", table)
+    assert conjugacy_classes(a) is conjugacy_classes(b)
+    subs_a, subs_b = subgroups(a), subgroups(b)
+    assert all(x.members is y.members for x, y in zip(subs_a, subs_b))
+    for m in (s.members for s in subs_a):
+        assert canonical_subgroup_rep(a, m) is canonical_subgroup_rep(b, m)
+    # values that hold the group stay with each group
+    assert subs_a is not subs_b
+    assert all(s.parent is b for s in subs_b)
+    assert all(c.representative.parent is b for c in subgroup_classes(b))
+    assert automorphisms(b)[0][0].domain is b
+    assert character_table(b)[0].group is b
+    assert sub_as_group(subs_a[1])[0].label.startswith("S3a!")
+    assert sub_as_group(subs_b[1])[0].label.startswith("S3b!")
+
+
+def _holds_no_group_value(value, seen: set) -> bool:
+    """Whether ``value``, walked through containers, holds no group-bound object."""
+    if id(value) in seen:
+        return True
+    seen.add(id(value))
+    bound = (FiniteGroup, Subgroup, SubgroupClass, GroupHom, CharacterVector,
+             TripleSubgroup, DressElement)
+    if isinstance(value, bound):
+        return False
+    if isinstance(value, dict):
+        return all(_holds_no_group_value(k, seen) and _holds_no_group_value(v, seen)
+                   for k, v in value.items())
+    if isinstance(value, (list, tuple, set, frozenset)):
+        return all(_holds_no_group_value(x, seen) for x in value)
+    return True
+
+
+def test_table_memos_hold_only_data():
+    c2, c3, s3 = (make_group("cyclic", 2), make_group("cyclic", 3),
+                  make_group("symmetric3"))
+    for backend in (RBBackend(), RQBackend(), CRCBackend(), RBCBackend(c2)):
+        for h in (c3, s3):
+            ideal_span(backend, h)
+    p = product_group(s3, c2)
+    cls = all_transitive_classes(s3, c2)[-1]
+    assert recompose(bouc_decompose(cls)) == element_of(cls)
+    character_table(p)
+    assert _TABLE_MEMOS
+    for table, memo in _TABLE_MEMOS.items():
+        assert _holds_no_group_value(memo, set()), len(table)
+
+
+def test_padded_product_first_enumerates_once(tmp_path, monkeypatch):
+    h = FiniteGroup("S3p", _relabelled(make_group("symmetric3"), 1))
+    k = FiniteGroup("C4p", _relabelled(make_group("cyclic", 4), 1))
+    previous = cache.cache_dir()
+    cache.set_cache_dir(str(tmp_path))
+    try:
+        for factor in (h, k):  # the factors' own lattices, before counting
+            subgroups(factor)
+        stores, splits = [], []
+        store = cache.store_lattice
+        monkeypatch.setattr(cache, "store_lattice", lambda *a: stores.append(a) or store(*a))
+        split = groups._goursat_subgroups
+        monkeypatch.setattr(groups, "_goursat_subgroups",
+                            lambda *a: splits.append(a) or split(*a))
+        padded = product_group(h, k, make_group("cyclic", 1))
+        subs = subgroups(padded)
+        plain = product_group(h, k)
+        assert [s.members for s in subgroups(plain)] == [s.members for s in subs]
+        assert len(splits) == 1 and splits[0][:2] == (h, k)
+        assert len(stores) == 1 and stores[0][0] == plain.fingerprint
+        assert len(list(tmp_path.glob("*.json"))) == 3  # h, k and h x k
+    finally:
+        cache.set_cache_dir(str(previous) if previous else None)
+
+
+def test_only_groups_touches_memo_stores():
+    # every memo is read through groups._memo; no other module reaches into
+    # a group's stores, so the table/group split is kept in one place
+    package = Path(bisetkit.__file__).resolve().parent
+    stores = {"_derived", "_memo", "_group_memo", "_table_memo"}
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "groups.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in stores:
+                offenders.append(f"{path.name}:{node.lineno} .{node.attr}")
+    assert offenders == []
+
+
 def test_group_checks_survive_optimize(tmp_path):
     # each precondition reachable through the public API raises a typed error
     # under python -O, where an assert would be stripped
     code = textwrap.dedent("""
         from bisetkit.errors import MiddleMismatch, PreconditionViolated
-        from bisetkit.groups import GroupHom, identity_hom, make_group, product_group
+        from bisetkit.groups import (GroupHom, Subgroup, identity_hom, make_group,
+                                     product_group, subgroup)
         c2, c3 = make_group("cyclic", 2), make_group("cyclic", 3)
         cases = [
+            (PreconditionViolated, lambda: Subgroup(c3, ())),
+            (PreconditionViolated, lambda: Subgroup(c3, (1, 2))),
+            (PreconditionViolated, lambda: subgroup(c3, [2, 1], check=False)),
             (PreconditionViolated, lambda: c3.encode((0,))),
             (PreconditionViolated, lambda: c3.decode(0)),
             (PreconditionViolated, lambda: product_group()),

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 a bisetkit error (bad input or a failed check), 2 usage
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import re
@@ -352,7 +353,9 @@ def cmd_counterexample(args) -> int:
 
 
 def cmd_accept(args) -> int:
-    results = run_all(selected=args.only)
+    # under --json the PASS/FAIL lines go to stderr, so stdout is one JSON array
+    with contextlib.redirect_stdout(sys.stderr) if args.json else contextlib.nullcontext():
+        results = run_all(selected=args.only)
     if args.json:
         stripped = []
         for r in results:

@@ -39,14 +39,12 @@ from .errors import (
     OracleInconsistent,
     OrderBound,
     PreconditionViolated,
-    SearchBound,
 )
 from .groups import (
     FiniteGroup,
     GroupHom,
     _goursat_subgroups,
     _sections,
-    all_homs,
     canonical_subgroup_rep,
     center,
     closure,
@@ -66,7 +64,6 @@ from .groups import (
 )
 
 ORACLE_POINT_BOUND = 1 << 20
-GENERAL_SCAN_BOUND = 128
 
 
 @dataclass(frozen=True)
@@ -179,7 +176,7 @@ def star_triple(e: TripleSubgroup, d: TripleSubgroup) -> TripleSubgroup:
     # the double coset of the identity comes first, and its shift is trivial
     _, star = next(_shifted_stars(e.g, e.k, d.k, e.c, e.members, d.members))
     out = TripleSubgroup(e.g, d.k, e.c, tuple(sorted(star)))
-    assert is_subgroup_members(out.triple, out.members), "star product not a subgroup"
+    _audit(is_subgroup_members(out.triple, out.members), "star product not a subgroup")
     return out
 
 
@@ -484,63 +481,46 @@ def subgroups_with_full_first(x_grp: FiniteGroup, y_grp: FiniteGroup) -> list[tu
     return _goursat_subgroups(x_grp, y_grp, full)
 
 
-def _side_classes(x: FiniteGroup, k: FiniteGroup, c: FiniteGroup, pos: int,
-                  required: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Class reps of subgroups of X x K x C (pos 0) or K x X x C (pos 1) whose
-    projection to the X factor at ``pos`` has at least len(required) members."""
-    factors = (x, k, c) if pos == 0 else (k, x, c)
-    p = product_group(*factors)
-    if len(required) == x.order:
-        p_kc = product_group(k, c)
-        p_xy = product_group(x, p_kc)
-        reps = set()
-        for members in subgroups_with_full_first(x, p_kc):
-            trip = []
-            for m in members:
-                xx, s = p_xy.decode(m)
-                kk, cc = p_kc.decode(s)
-                trip.append(p.encode((xx, kk, cc) if pos == 0 else (kk, xx, cc)))
-            reps.add(canonical_subgroup_rep(p, trip))
-        return sorted(reps)
-    if p.order > GENERAL_SCAN_BOUND:
-        raise SearchBound(
-            f"unconstrained scan of {p.label} (order {p.order}) refused")
-    return [cls.representative.members for cls in subgroup_classes(p)
-            if len(TripleSubgroup(*factors, cls.representative.members).proj(pos))
-            >= len(required)]
+def _side_classes(x: FiniteGroup, k: FiniteGroup, c: FiniteGroup,
+                  pos: int) -> list[tuple[int, ...]]:
+    """Class reps of subgroups of X x K x C (pos 0) or K x X x C (pos 1)
+    that project onto the X factor at ``pos``."""
+    p_xkc = product_group(x, k, c)
+    # an index of X x (K x C) is already the index of X x K x C
+    subs = subgroups_with_full_first(x, product_group(k, c))
+    if pos == 0:
+        return sorted({canonical_subgroup_rep(p_xkc, m) for m in subs})
+    p_kxc = product_group(k, x, c)
+    return sorted({canonical_subgroup_rep(p_kxc, [p_kxc.encode((kk, xx, cc))
+                                                  for xx, kk, cc in map(p_xkc.decode, m)])
+                   for m in subs})
 
 
 def is_star_decomposable(d: TripleSubgroup, order_bound: int) -> Optional[dict]:
     """Search for K, A <= G x K x C, B <= K x H x C and a shift with
-    D conjugate to A * shifted B; None if no witness exists.
+    D conjugate to A * shifted B; None if no witness exists. D must project
+    onto G and onto H, so A projects onto G and B onto H.
 
     When D is in graph form, the kernel-shape constraint applies: any
     factorization morphism kernel N is injective on the third coordinate,
-    normal in D, with D/N embedding in a section of K. Orders of K admitting
-    no such N are skipped; if none remain the search short-circuits to None.
+    normal in D, with D/N embedding in a section of K. So |K| >= [D:N] for
+    some admissible N, and smaller orders are skipped.
     """
     g, h, c = d.g, d.k, d.c
+    if d.proj(0) != tuple(range(g.order)) or d.proj(1) != tuple(range(h.order)):
+        raise PreconditionViolated("is_star_decomposable needs p1(D) = G and p2(D) = H")
     p_ghc = d.triple
     d_canon = d.canonical_rep()
 
-    viable_orders = list(range(1, order_bound + 1))
-    prune_info = None
+    first = 1
     if _graph_form(d):
-        candidates = []
-        for members in p3_injective_subgroups(d):
-            if _normal_within(p_ghc, d.members, members):
-                candidates.append(len(d.members) // len(members))
-        viable_orders = [o for o in viable_orders
-                         if any(idx <= o for idx in candidates)]
-        prune_info = {"admissible_indices": sorted(set(candidates)),
-                      "viable_orders": viable_orders}
-        if not viable_orders:
-            return None
+        first = min((d.order // len(n) for n in admissible_kernel_check(d, order_bound)),
+                    default=order_bound + 1)
 
-    for o in viable_orders:
+    for o in range(first, order_bound + 1):
         for kgrp in _catalog.groups_of_order(o):
-            a_list = _side_classes(g, kgrp, c, 0, d.proj(0))
-            b_list = _side_classes(h, kgrp, c, 1, d.proj(1))
+            a_list = _side_classes(g, kgrp, c, 0)
+            b_list = _side_classes(h, kgrp, c, 1)
             for a_members in a_list:
                 for b_members in b_list:
                     for shift, star in _shifted_stars(g, kgrp, h, c,
@@ -553,7 +533,6 @@ def is_star_decomposable(d: TripleSubgroup, order_bound: int) -> Optional[dict]:
                                 "a_members": a_members,
                                 "b_members": b_members,
                                 "shift": shift,
-                                "prune": prune_info,
                             }
     return None
 
@@ -661,38 +640,24 @@ def counterexample_check() -> dict:
 def no_bridge_check(g: FiniteGroup, h: FiniteGroup, c: FiniteGroup) -> dict:
     """Scan for D <= G x H x C with full projections and trivial kernels.
 
-    Such D are graphs of surjections from a subgroup of H x C onto G, so the
-    scan enumerates those. With |C| prime and G, H non-isomorphic of equal
-    order, finding one contradicts the isomorphism corollary: FoundBridge.
+    Such D are graphs of surjections from a subgroup S of H x C onto G: in
+    Goursat's terms, the subgroups of G x (H x C) whose section on the G side
+    is (G, 1), kept when they project onto H and meet 1 x H x 1 trivially.
+    ``sections_scanned`` counts the S that project onto H with |G| dividing
+    |S|. With |C| prime and G, H non-isomorphic of equal order, finding one
+    contradicts the isomorphism corollary: FoundBridge.
     """
     p_hc = product_group(h, c)
-    p_ghc = product_group(g, h, c)
     c_prime = _is_prime(c.order)
     isomorphic = is_isomorphic(g, h) is not None
+    scanned = sum(1 for s in subgroups(p_hc) if s.order % g.order == 0
+                  and len({p_hc.decode(m)[0] for m in s.members}) == h.order)
+    # an index of G x (H x C) is already the index of G x H x C
     bridges = []
-    scanned = 0
-    for s in subgroups(p_hc):
-        proj_h = {p_hc.decode(m)[0] for m in s.members}
-        if len(proj_h) != h.order:
-            continue
-        if s.order % g.order:
-            continue
-        s_grp, s_incl = sub_as_group(s)
-        scanned += 1
-        for alpha in all_homs(s_grp, g, surjective=True):
-            ok = True
-            for i in range(s_grp.order):
-                hh, cc = p_hc.decode(s_incl(i))
-                if cc == 0 and hh != 0 and alpha(i) == 0:
-                    ok = False  # nontrivial k2
-                    break
-            if not ok:
-                continue
-            members = tuple(sorted(
-                p_ghc.encode((alpha(i),) + p_hc.decode(s_incl(i)))
-                for i in range(s_grp.order)))
-            if members not in bridges:
-                bridges.append(members)
+    for members in _goursat_subgroups(g, p_hc, {g.order: [(tuple(range(g.order)), (0,))]}):
+        d = TripleSubgroup(g, h, c, members)
+        if len(d.proj(1)) == h.order and d.kern(1) == (0,):
+            bridges.append(members)
     bridges.sort()
     report = {
         "groups": {"G": g.label, "H": h.label, "C": c.label},
@@ -702,8 +667,9 @@ def no_bridge_check(g: FiniteGroup, h: FiniteGroup, c: FiniteGroup) -> dict:
         "bridges": [list(b) for b in bridges],
         "passed": not bridges,
     }
-    if c_prime and bridges and not isomorphic:
-        # a bridge between non-isomorphic groups would falsify the corollary
+    if c_prime and bridges and not isomorphic and g.order == h.order:
+        # a bridge between non-isomorphic groups of equal order would
+        # falsify the corollary
         raise FoundBridge(f"bridge found for ({g.label}, {h.label}, {c.label}): "
                           f"{bridges[0]}")
     return report

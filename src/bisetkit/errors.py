@@ -38,7 +38,7 @@ class FactorMismatch(BisetkitError):
 
 
 class NotDivisor(BisetkitError):
-    """xn_element needs a proper divisor."""
+    """kernel_of_reduction needs n to divide m."""
 
 
 class NotAbelian(BisetkitError):
@@ -63,10 +63,6 @@ class NotAutomorphism(BisetkitError):
 
 class PreconditionViolated(BisetkitError):
     """An operation's structural precondition does not hold."""
-
-
-class SearchBound(BisetkitError):
-    """A decomposability search exceeded its configured bound."""
 
 
 class FoundBridge(BisetkitError):

@@ -374,7 +374,8 @@ def unit_characters(m: int) -> list[UnitCharacter]:
                 le[i] = (le[i] + 1) % o
                 logs[y] = tuple(le)
                 frontier.append(y)
-    assert len(logs) == len(units), f"unit group of {m}: generators incomplete"
+    if len(logs) != len(units):
+        raise AuditFailed(f"unit group of {m}: generators incomplete")
     out = []
     for choices in itertools.product(*[range(o) for _, o in gens]):
         vals = []
@@ -383,8 +384,9 @@ def unit_characters(m: int) -> list[UnitCharacter]:
             k = sum(c * l * (e // o) for c, l, (_, o) in zip(choices, lu, gens)) % e
             vals.append((u, k))
         out.append(UnitCharacter(m, e, tuple(sorted(vals))))
+    if len(out) != len(units):
+        raise AuditFailed(f"unit group of {m}: {len(out)} characters, {len(units)} units")
     out.sort(key=lambda ch: tuple(k for _, k in ch.values))
-    assert len(out) == len(units)
     return out
 
 
@@ -393,13 +395,6 @@ def kernel_of_reduction(m: int, n: int) -> list[int]:
     if m % n:
         raise NotDivisor(f"{n} does not divide {m}")
     return [t for t in units_mod(m) if t % n == 1 % n]
-
-
-def xn_element(m: int, n: int) -> dict[int, Fraction]:
-    """Indicator sum over Ker((Z/mZ)^x -> (Z/nZ)^x) for a proper divisor n."""
-    if m % n or n >= m:
-        raise NotDivisor(f"need a proper divisor: n={n}, m={m}")
-    return {t: Fraction(1) for t in kernel_of_reduction(m, n)}
 
 
 def primitive_characters(m: int) -> list[UnitCharacter]:

@@ -22,6 +22,7 @@ from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
 from . import cache as _cache
 from .errors import (
+    AuditFailed,
     InvalidTable,
     MiddleMismatch,
     NotNormal,
@@ -931,7 +932,8 @@ def _word_plan(g: FiniteGroup, gens: Sequence[int]) -> list[tuple[int, int, int]
                 order.append(y)
                 plan.append((y, x, j))
         i += 1
-    assert len(known) == g.order, "gens do not generate"
+    if len(known) != g.order:
+        raise PreconditionViolated(f"gens do not generate {g.label}")
     return plan
 
 
@@ -960,13 +962,13 @@ def _hom_candidates(g: FiniteGroup, h: FiniteGroup, gens: Sequence[int],
     return cands
 
 
-def all_homs(g: FiniteGroup, h: FiniteGroup, *, surjective: bool = False,
-             bijective: bool = False, first_only: bool = False) -> list[GroupHom]:
+def all_homs(g: FiniteGroup, h: FiniteGroup, *, bijective: bool = False,
+             first_only: bool = False) -> list[GroupHom]:
     """Enumerate homomorphisms G -> H by generator images, fully verified."""
     gens = generating_sequence(g)
     if not gens:  # trivial G
         hom = GroupHom(g, h, (0,) * g.order)
-        if (surjective or bijective) and h.order != 1:
+        if bijective and h.order != 1:
             return []
         return [hom]
     plan = _word_plan(g, gens)
@@ -989,8 +991,6 @@ def all_homs(g: FiniteGroup, h: FiniteGroup, *, surjective: bool = False,
     for images in itertools.product(*cands):
         img = _induced_map(g, h, gens, plan, images)
         if bijective and len(set(img)) != h.order:
-            continue
-        if surjective and len(set(img)) != h.order:
             continue
         if not verify(img):
             continue
@@ -1015,7 +1015,8 @@ def automorphisms(g: FiniteGroup) -> tuple[list[GroupHom], list[GroupHom], int]:
             if im not in inner_images:
                 inner_images.add(im)
                 inner.append(GroupHom(g, g, im))
-        assert len(auts) % len(inner) == 0
+        if len(auts) % len(inner):
+            raise AuditFailed(f"|Inn({g.label})| does not divide |Aut({g.label})|")
         return auts, inner, len(auts) // len(inner)
     return _memo(g, "automorphisms", build, bound=True)
 

@@ -149,6 +149,16 @@ def test_no_bridge_cli(capsys):
     assert json.loads(out)["passed"] is True
 
 
+def test_no_bridge_unequal_orders_is_no_error(capsys):
+    # the corollary is about groups of equal order; C1 and C2 are bridged
+    # by {(1, h, h)} <= C1 x C2 x C2
+    code, out, _ = run(capsys, "--json", "no-bridge", "C1", "C2", "C2")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["bridges"] == [[0, 3]]
+    assert doc["passed"] is False
+
+
 def test_counterexample_cli(capsys):
     code, out, _ = run(capsys, "counterexample")
     assert code == 0
@@ -170,6 +180,15 @@ def test_accept_only(capsys):
     assert "PASS criterion 9" in out
     assert "PASS criterion 10" in out
     assert "running criterion" in err
+
+
+def test_accept_json_stdout_is_json(capsys):
+    code, out, err = run(capsys, "--json", "accept", "--only", "9,10")
+    assert code == 0
+    doc = json.loads(out)
+    assert [r["criterion"] for r in doc] == [9, 10]
+    assert all(r["passed"] for r in doc)
+    assert "PASS criterion 9" in err
 
 
 def test_usage_error_exit_code(capsys):

@@ -8,8 +8,10 @@ from pathlib import Path
 import pytest
 
 import bisetkit
+from bisetkit.cli import resolve_group
 from bisetkit.dress import (
     DressElement,
+    _side_classes,
     admissible_kernel_check,
     counterexample_check,
     d_theta_zeta,
@@ -33,7 +35,9 @@ from bisetkit.errors import (
 )
 from bisetkit.groups import (
     GroupHom,
+    _enumerate_subgroups,
     automorphisms,
+    canonical_subgroup_rep,
     identity_hom,
     make_group,
     product_group,
@@ -259,6 +263,57 @@ def test_not_decomposable_twisted_diagonals():
     ident3 = next(a for a in auts3 if a.images == (0, 1, 2))
     d3 = d_theta_zeta(C3, C2, ident3, trivial_hom(C2, C3))
     assert is_star_decomposable(d3, order_bound=2) is None
+
+
+def test_decomposability_needs_full_projections():
+    # {(1, h, 1)} projects onto H but not onto G = C2
+    p = product_group(C2, C2, C2)
+    d = triple_subgroup(C2, C2, C2, [p.encode((0, h, 0)) for h in range(2)])
+    with pytest.raises(PreconditionViolated):
+        is_star_decomposable(d, order_bound=1)
+
+
+@pytest.mark.parametrize("x,k,c", [
+    (make_group("symmetric3"), C2, C2), (V4, C2, C2), (C4, C3, C1)])
+def test_side_classes_match_cyclic_extension(x, k, c):
+    # the oracle lattice comes from cyclic extension, not from Goursat data
+    for pos, factors in ((0, (x, k, c)), (1, (k, x, c))):
+        p = product_group(*factors)
+        want = sorted({canonical_subgroup_rep(p, m) for m in _enumerate_subgroups(p)
+                       if len({p.decode(t)[pos] for t in m}) == x.order})
+        assert _side_classes(x, k, c, pos) == want, (pos, p.label)
+
+
+@pytest.mark.parametrize("names", [
+    ("C4", "V4", "C2"), ("C2", "C2", "C3"), ("S3", "S3", "C2"),
+    ("V4", "V4", "C2"), ("C1", "C2", "C2"), ("C2", "V4", "C2"), ("C2", "C6", "C3"),
+    ("C3", "C2", "C3")])
+def test_no_bridge_matches_cyclic_extension(names):
+    # oracle: the cyclic-extension lattice of G x H x C, filtered by
+    # p1 = G, p2 = H, k1 = k2 = 1; it shares no code with Goursat or all_homs
+    g, h, c = (resolve_group(n) for n in names)
+    p = product_group(g, h, c)
+    want = []
+    for m in _enumerate_subgroups(p):
+        trips = [p.decode(t) for t in m]
+        if (len({t[0] for t in trips}) == g.order and len({t[1] for t in trips}) == h.order
+                and not any(t[0] and not t[1] and not t[2] for t in trips)
+                and not any(t[1] and not t[0] and not t[2] for t in trips)):
+            want.append(list(m))
+    p_hc = product_group(h, c)
+    scanned = sum(1 for m in _enumerate_subgroups(p_hc) if len(m) % g.order == 0
+                  and len({p_hc.decode(t)[0] for t in m}) == h.order)
+    rep = no_bridge_check(g, h, c)
+    assert rep["bridges"] == sorted(want)
+    assert rep["sections_scanned"] == scanned
+    assert rep["passed"] is not want
+
+
+def test_no_bridge_unequal_orders():
+    # the corollary is about groups of equal order; C2 and V4 are bridged
+    rep = no_bridge_check(C2, V4, C2)
+    assert len(rep["bridges"]) == 6
+    assert rep["passed"] is False
 
 
 def test_counterexample_transcript():

@@ -26,7 +26,6 @@ from bisetkit.green import (
     seeds_kRQ,
     unit_characters,
     units_mod,
-    xn_element,
     xn_ideal_dim,
 )
 from bisetkit.groups import make_group, product_group
@@ -56,20 +55,12 @@ def test_unit_characters_multiplicative():
                     assert lhs == rhs
 
 
-def test_xn_examples():
-    assert xn_element(4, 2) == {1: Fraction(1), 3: Fraction(1)}
-    assert xn_element(8, 4) == {1: Fraction(1), 5: Fraction(1)}
-    assert xn_element(6, 3) == {1: Fraction(1)}
-    with pytest.raises(NotDivisor):
-        xn_element(6, 4)
-    with pytest.raises(NotDivisor):
-        xn_element(6, 6)
-
-
 def test_kernel_of_reduction():
     assert kernel_of_reduction(12, 4) == [1, 5]
     assert kernel_of_reduction(12, 3) == [1, 7]
     assert kernel_of_reduction(10, 5) == [1]
+    with pytest.raises(NotDivisor):
+        kernel_of_reduction(6, 4)
 
 
 def test_primitive_character_counts():

@@ -647,6 +647,15 @@ def test_only_groups_touches_memo_stores():
     assert offenders == []
 
 
+def test_no_assert_in_src():
+    # python -O strips assert statements, so no check in src/ may be one
+    package = Path(bisetkit.__file__).resolve().parent
+    asserts = [f"{path.name}:{node.lineno}" for path in sorted(package.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.Assert)]
+    assert asserts == []
+
+
 def test_group_checks_survive_optimize(tmp_path):
     # each precondition reachable through the public API raises a typed error
     # under python -O, where an assert would be stripped

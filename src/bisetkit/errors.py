@@ -50,7 +50,8 @@ class NonRationalValues(BisetkitError):
 
 
 class CatalogInsufficient(BisetkitError):
-    """The catalog is missing groups of some order below the target."""
+    """The crc or rbc ideal needs every group of order below |H|, and the
+    catalog stops short of that order."""
 
 
 class NotCentral(BisetkitError):

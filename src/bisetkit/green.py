@@ -3,8 +3,17 @@
 A backend presents each hom-space A(H x G) by a finite ordered basis together
 with an injective linear coordinatization, and composes coordinate vectors
 bilinearly over a middle group. The ideal of morphisms factoring through
-strictly smaller groups is spanned by products of spanning elements, which
-each backend yields as sparse integer rows; exact ranks give the quotient.
+strictly smaller groups is spanned by products of spanning elements through
+the backend's middle groups, which each backend yields as sparse integer rows;
+exact ranks give the quotient.
+
+For rb the middle groups are the proper subquotients of H, one per
+isomorphism type: a transitive biset [H x K / L] factors through its Goursat
+quotient p2(L)/k2(L), a subquotient of H (Bouc, LNM 1990), and only the pairs
+whose quotient is K itself are needed. kR_Q is a quotient of kRB as a Green
+biset functor (Artin's induction theorem), so rq composes through the same
+groups. No such proof is written down for crc and rbc, so they compose
+through every catalog group of order below |H|.
 
 Backends: rb (double Burnside), rq (rational representations in the Artin
 basis), crc (complex representations by irreducible characters), rbc (the
@@ -43,6 +52,7 @@ from .groups import (
     conjugacy_classes,
     make_group,
     product_group,
+    section_classes,
     subgroup_classes,
 )
 from .linalg import RowSpace
@@ -56,6 +66,10 @@ class CRCBackend:
     """Complex representations; basis = irreducible characters of the product."""
 
     name = "crc"
+
+    def middle_groups(self, h) -> list[FiniteGroup]:
+        """The groups K the ideal of A(H x H) composes through."""
+        return _catalog_below(h)
 
     def basis_labels(self, h, g) -> list[str]:
         p = product_group(h, g)
@@ -106,6 +120,9 @@ class RQBackend(CRCBackend):
 
     name = "rq"
 
+    def middle_groups(self, h) -> list[FiniteGroup]:
+        return proper_subquotients(h)
+
     def class_keys(self, p) -> tuple[int, ...]:
         return rq_class_index_map(p)  # rational classes span the Artin basis
 
@@ -126,6 +143,10 @@ class RBCBackend:
 
     def __init__(self, c: FiniteGroup):
         self.c = c
+
+    def middle_groups(self, h) -> list[FiniteGroup]:
+        """The groups K the ideal of A(H x H) composes through."""
+        return _catalog_below(h)
 
     def _index(self, h, g) -> dict[tuple[int, ...], int]:
         """Class rep -> basis index, memoized per table of the product group."""
@@ -160,11 +181,17 @@ class RBCBackend:
         coeffs = dress_identity(g, self.c).coeffs
         return [coeffs.get(rep, Fraction(0)) for rep in self._index(g, g)]
 
+    def factor_classes(self, h, k):
+        """The basis classes (i, rep) of A(H x K) and of A(K x H) whose
+        products make the rows through K: all of them."""
+        return list(enumerate(self._index(h, k))), list(enumerate(self._index(k, h)))
+
     def ideal_rows(self, h, k):
         """((i, j), product of basis classes i and j as {basis index: int})."""
         index = self._index(h, h)
-        for i, lrep in enumerate(self._index(h, k)):
-            for j, mrep in enumerate(self._index(k, h)):
+        lefts, rights = self.factor_classes(h, k)
+        for i, lrep in lefts:
+            for j, mrep in rights:
                 yield (i, j), {index[rep]: int(v) for rep, v
                                in self.compose_pair(h, k, h, lrep, mrep).items()}
 
@@ -181,8 +208,38 @@ class RBBackend(RBCBackend):
     def __init__(self):
         super().__init__(make_group("cyclic", 1))
 
+    def middle_groups(self, h) -> list[FiniteGroup]:
+        return proper_subquotients(h)
+
+    def factor_classes(self, h, k):
+        """The classes whose Goursat quotient is K itself: L <= H x K with
+        p2(L) = K and k2(L) = 1, and M <= K x H with p1(M) = K and k1(M) = 1.
+        A pair with a smaller quotient factors through a smaller subquotient
+        of H, whose own rows are already in the ideal."""
+        ho, ko = h.order, k.order  # (x, y) in X x Y x C1 is x*|Y| + y
+        lefts = [(i, rep) for i, rep in enumerate(self._index(h, k))
+                 if len({x % ko for x in rep}) == ko and sum(x < ko for x in rep) == 1]
+        rights = [(j, rep) for j, rep in enumerate(self._index(k, h))
+                  if len({x // ho for x in rep}) == ko and sum(x % ho == 0 for x in rep) == 1]
+        return lefts, rights
+
     def compose_pair(self, h, g, k, lrep, mrep) -> dict[tuple[int, ...], Fraction]:
         return compose_transitive(h, g, k, lrep, mrep).coeffs
+
+
+def _catalog_below(h: FiniteGroup) -> list[FiniteGroup]:
+    """Every catalog group of order below |H|."""
+    if h.order - 1 > _catalog.CATALOG_MAX_ORDER:
+        raise CatalogInsufficient(
+            f"need all groups of order < {h.order}, catalog stops at "
+            f"{_catalog.CATALOG_MAX_ORDER}")
+    return [k for n in range(1, h.order) for k in _catalog.groups_of_order(n)]
+
+
+def proper_subquotients(h: FiniteGroup) -> list[FiniteGroup]:
+    """One group per isomorphism type of the subquotients of H of order below
+    |H|, by order and then section order."""
+    return [k for n in range(1, h.order) for k in section_classes(h, n)[0]]
 
 
 def get_backend(name: str, c: Optional[FiniteGroup] = None):
@@ -225,28 +282,27 @@ class IdealReport:
 
 
 def _ideal_rowspace(backend, h: FiniteGroup) -> RowSpace:
-    """Reduced row space of the distinct generator rows through smaller catalog groups."""
-    if h.order - 1 > _catalog.CATALOG_MAX_ORDER:
-        raise CatalogInsufficient(
-            f"need all groups of order < {h.order}, catalog stops at "
-            f"{_catalog.CATALOG_MAX_ORDER}")
+    """Reduced row space of the distinct generator rows through the backend's
+    middle groups; the first row through each K is checked against the dense
+    compose."""
+    middles = backend.middle_groups(h)  # CatalogInsufficient before any basis is built
     width = len(backend.basis_vector(h, h, 0))
     space = RowSpace(width)
     seen_rows: set = set()
-    for n in range(1, h.order):
-        for k in _catalog.groups_of_order(n):
-            for n_row, (pair, row) in enumerate(backend.ideal_rows(h, k)):
-                if n_row == 0:
-                    beta, alpha, scale = backend.generator_inputs(h, k, pair)
-                    dense = backend.compose(h, k, h, beta, alpha)
-                    if [scale * x for x in dense] != [row.get(c, 0) for c in range(width)]:
-                        raise OracleInconsistent(
-                            f"{backend.name}: row {pair} through {k.label} is not compose's")
-                key = tuple(sorted(row.items()))
-                if key in seen_rows:
-                    continue
-                seen_rows.add(key)
-                space.add([Fraction(row[c]) if c in row else 0 for c in range(width)])
+    zero = Fraction(0)
+    for k in middles:
+        for n_row, (pair, row) in enumerate(backend.ideal_rows(h, k)):
+            if n_row == 0:
+                beta, alpha, scale = backend.generator_inputs(h, k, pair)
+                dense = backend.compose(h, k, h, beta, alpha)
+                if [scale * x for x in dense] != [row.get(c, 0) for c in range(width)]:
+                    raise OracleInconsistent(
+                        f"{backend.name}: row {pair} through {k.label} is not compose's")
+            key = tuple(sorted(row.items()))
+            if key in seen_rows:
+                continue
+            seen_rows.add(key)
+            space.add([Fraction(row[c]) if c in row else zero for c in range(width)])
     return space
 
 
@@ -254,8 +310,10 @@ def ideal_span(backend, h: FiniteGroup) -> IdealReport:
     """Ideal of morphisms factoring through strictly smaller groups.
 
     The ideal is spanned by the products of basis classes (rb, rbc) or of
-    (rational) class indicators (crc, rq) of A(H x K) and A(K x H), for every
-    catalog K with |K| < |H|; bilinearity makes this span the whole submodule.
+    (rational) class indicators (crc, rq) of A(H x K) and A(K x H), for each
+    middle group K of the backend: one proper subquotient of H per isomorphism
+    type for rb and rq, every catalog group of order below |H| for crc and
+    rbc. Bilinearity makes this span the whole submodule.
     Quotient basis labels are the ambient basis elements that stay independent
     modulo the span, scanned in order.
     """

@@ -8,8 +8,9 @@ across runs. Groups are immutable, and derived data is computed once through
 (element orders, conjugacy classes, canonical representatives, double cosets,
 the subgroup lattice as member tuples and class ids) goes to the table memo,
 one dict shared by every group with an equal table. Values that hold the group
-itself (its Subgroup list, automorphisms, character table, and the subgroups
-and quotients labelled after it) go to the group's own memo.
+itself (its Subgroup list, automorphisms, character table, the subgroups and
+quotients labelled after it, and the isomorphism classes of its section
+quotients) go to the group's own memo.
 """
 
 from __future__ import annotations
@@ -573,6 +574,34 @@ def _section_quotient(g: FiniteGroup, s: tuple[int, ...], n: tuple[int, ...]):
     return q, proj.images
 
 
+def section_classes(g: FiniteGroup, index: int) -> tuple[list[FiniteGroup], dict]:
+    """The quotients S/N of the sections of G with |S:N| = ``index``, up to
+    isomorphism; classed once per index and group.
+
+    Returns one representative per class, the first quotient of its class in
+    section order, and for each such section (S, N) the pair (class, witness),
+    with witness an isomorphism from S/N (as :func:`_section_quotient` builds
+    it) onto the representative.
+    """
+    memo = _memo(g, "section_classes", dict, bound=True)
+    got = memo.get(index)
+    if got is None:
+        reps: list[FiniteGroup] = []
+        witness: dict = {}
+        for s, n in _sections(g).get(index, ()):
+            q = _section_quotient(g, s, n)[0]
+            for i, rep in enumerate(reps):
+                phi = is_isomorphic(q, rep)
+                if phi is not None:
+                    break
+            else:
+                i, phi = len(reps), identity_hom(q)
+                reps.append(q)
+            witness[s, n] = (i, phi)
+        got = memo[index] = (reps, witness)
+    return got
+
+
 def _goursat_subgroups(a: FiniteGroup, b: FiniteGroup,
                        sec_a: Optional[dict] = None) -> list[tuple[int, ...]]:
     """Member tuples of the subgroups of A x B, (x, y) encoded as x*|B| + y,
@@ -581,7 +610,9 @@ def _goursat_subgroups(a: FiniteGroup, b: FiniteGroup,
     Each subgroup is {(x, y) : x in S, y in T, theta(xN) = yM} for exactly
     one pair of sections N <| S <= A and M <| T <= B and one isomorphism
     theta: S/N -> T/M (Goursat's lemma). ``sec_a`` limits the A side to some
-    of its sections, in the layout of :func:`_sections`.
+    of its sections, in the layout of :func:`_sections`. Both sides are read
+    through :func:`section_classes`: theta runs over the isomorphisms between
+    the two class representatives, found once per pair of classes.
     """
     nb = b.order
     sec_a = _sections(a) if sec_a is None else sec_a
@@ -592,23 +623,33 @@ def _goursat_subgroups(a: FiniteGroup, b: FiniteGroup,
     for index, pairs_b in sec_b.items():
         if index == 1 or index not in sec_a:
             continue
-        buckets: dict = {}
+        reps_a, wit_a = section_classes(a, index)
+        reps_b, wit_b = section_classes(b, index)
+        # B's class -> the block lists of its sections, by representative element
+        sides_b: dict[int, list[list[list[int]]]] = {}
         for t, m in pairs_b:
-            q, cosets = _section_quotient(b, t, m)
-            blocks = [[] for _ in range(q.order)]
-            for y, c in zip(t, cosets):
-                blocks[c].append(y)
-            buckets.setdefault(order_profile(q), []).append((q, blocks))
+            j, psi = wit_b[t, m]
+            blocks: list[list[int]] = [[] for _ in range(index)]
+            for y, c in zip(t, _section_quotient(b, t, m)[1]):
+                blocks[psi.images[c]].append(y)
+            sides_b.setdefault(j, []).append(blocks)
+        # A's class -> (isomorphisms onto B's class j as image tuples, j's blocks)
+        isos: dict[int, list] = {}
         for s, n in sec_a[index]:
-            qa, cosets = _section_quotient(a, s, n)
-            for qb, blocks in buckets.get(order_profile(qa), ()):
-                phi = is_isomorphic(qa, qb)
-                if phi is None:
-                    continue
-                for aut in automorphisms(qb)[0]:
-                    theta = phi.then(aut).images
-                    out.append(tuple(x * nb + y for x, c in zip(s, cosets)
-                                     for y in blocks[theta[c]]))
+            i, phi = wit_a[s, n]
+            if i not in isos:
+                isos[i] = []
+                for j, block_lists in sides_b.items():
+                    iso = is_isomorphic(reps_a[i], reps_b[j])
+                    if iso is not None:
+                        isos[i].append(([iso.then(aut).images
+                                         for aut in automorphisms(reps_b[j])[0]], block_lists))
+            cosets = [phi.images[c] for c in _section_quotient(a, s, n)[1]]
+            for thetas, block_lists in isos[i]:
+                for theta in thetas:
+                    for blocks in block_lists:
+                        out.append(tuple(x * nb + y for x, c in zip(s, cosets)
+                                         for y in blocks[theta[c]]))
     out.sort(key=lambda m: (len(m), m))
     return out
 

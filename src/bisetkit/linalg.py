@@ -43,7 +43,8 @@ class RowSpace:
         for col in range(self.width):
             if r[col]:
                 inv = 1 / r[col]
-                self.pivots[col] = [x * inv for x in r]
+                # scale only the nonzero entries; a zero stays the row's own object
+                self.pivots[col] = [x * inv if x else x for x in r]
                 return True
         return False
 

@@ -33,6 +33,14 @@ def test_ahat_rb_v4(capsys):
     assert "quotient 6" in out
 
 
+def test_ahat_rb_beyond_catalog(capsys):
+    # D16 is not in the catalog; rb composes through its subquotients and the
+    # quotient is |Out(D16)| = 4
+    code, out, _ = run(capsys, "ahat", "--backend", "rb", "--group", "D16")
+    assert code == 0
+    assert "quotient 4" in out
+
+
 def test_ahat_json_deterministic(capsys):
     code1, out1, _ = run(capsys, "--json", "ahat", "--backend", "rb",
                          "--group", "C3")

@@ -199,8 +199,64 @@ def test_sparse_rows_span_the_dense_ideal(backend, h):
 
 
 def test_catalog_insufficient():
-    with pytest.raises(CatalogInsufficient):
-        ideal_span(RQBackend(), make_group("cyclic", 17))
+    # crc and rbc still compose through every catalog group below |H|; rb and
+    # rq take subquotients of H and answer on C17 (see test_rq_beyond_catalog)
+    for backend in (CRCBackend(), RBCBackend(make_group("cyclic", 2))):
+        with pytest.raises(CatalogInsufficient):
+            ideal_span(backend, make_group("cyclic", 17))
+
+
+class _CatalogIdeal:
+    """Mixin: the ideal through every catalog group below |H|, with every
+    pair of basis classes (the rb and rq ideal before subquotients)."""
+
+    def middle_groups(self, h):
+        return [k for n in range(1, h.order) for k in groups_of_order(n)]
+
+    def factor_classes(self, h, k):
+        return RBCBackend.factor_classes(self, h, k)
+
+
+class _CatalogRB(_CatalogIdeal, RBBackend):
+    pass
+
+
+class _CatalogRQ(_CatalogIdeal, RQBackend):
+    pass
+
+
+_SUBQUOTIENT_CASES = [(b, h) for b in ("rb", "rq") for n in range(1, 9)
+                      for h in groups_of_order(n)]
+
+
+@pytest.mark.parametrize("name,h", _SUBQUOTIENT_CASES,
+                         ids=[f"{b}-{h.label}" for b, h in _SUBQUOTIENT_CASES])
+def test_subquotient_ideal_equals_catalog_ideal(name, h):
+    from bisetkit.green import _ideal_rowspace
+    restricted, full = {"rb": (RBBackend(), _CatalogRB()),
+                        "rq": (RQBackend(), _CatalogRQ())}[name]
+    sub, cat = _ideal_rowspace(restricted, h), _ideal_rowspace(full, h)
+    assert sub.rank == cat.rank
+    assert all(cat.contains(row) for row in sub.pivots.values())
+    assert all(sub.contains(row) for row in cat.pivots.values())
+
+
+@pytest.mark.parametrize("name", ["C16", "D16"])
+def test_check_out_iso_beyond_catalog(name):
+    rep = check_out_iso(make_group({"C": "cyclic", "D": "dihedral"}[name[0]], 16))
+    assert rep["match"], rep
+    assert rep["quotient_dim"] == {"C16": 8, "D16": 4}[name]
+
+
+# len(primitive_characters(m)), frozen from that oracle
+_PRIMITIVE_COUNTS = {16: 4, 17: 15, 20: 3}
+
+
+@pytest.mark.parametrize("m", sorted(_PRIMITIVE_COUNTS))
+def test_rq_beyond_catalog(m):
+    assert len(primitive_characters(m)) == _PRIMITIVE_COUNTS[m]
+    assert ideal_span(RQBackend(), make_group("cyclic", m)).quotient_dim == \
+        _PRIMITIVE_COUNTS[m]
 
 
 def test_identity_nonzero_in_quotient_rb():

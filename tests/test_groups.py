@@ -28,6 +28,8 @@ from bisetkit.groups import (
     SubgroupClass,
     _enumerate_subgroups,
     _goursat_subgroups,
+    _section_quotient,
+    _sections,
     automorphisms,
     canonical_subgroup_rep,
     center,
@@ -41,6 +43,7 @@ from bisetkit.groups import (
     mobius_int,
     product_group,
     quotient_group,
+    section_classes,
     sub_as_group,
     subgroup,
     subgroup_classes,
@@ -532,6 +535,22 @@ def test_goursat_lattice_matches_cyclic_extension():
         for m in want:
             classes.setdefault(canonical_subgroup_rep(p, m), []).append(m)
         assert [list(c.members) for c in subgroup_classes(p)] == list(classes.values()), p.label
+
+
+@pytest.mark.parametrize("name", ["S3", "D8", "Q8", "A4", "C4xC2", "D12"])
+def test_section_classes_partition_the_section_quotients(name):
+    from bisetkit.catalog import group_by_name
+    g = group_by_name(name)
+    for index, pairs in _sections(g).items():
+        reps, witness = section_classes(g, index)
+        assert all(is_isomorphic(a, b) is None for i, a in enumerate(reps) for b in reps[:i])
+        assert set(witness) == set(pairs)
+        for s, n in pairs:
+            q = _section_quotient(g, s, n)[0]
+            assert [i for i, r in enumerate(reps) if is_isomorphic(q, r)] == [witness[s, n][0]]
+            phi = witness[s, n][1]
+            assert phi.domain is q and phi.codomain is reps[witness[s, n][0]]
+            assert phi.is_hom() and phi.is_bijective()
 
 
 def test_goursat_lattice_matches_bruteforce():

@@ -341,9 +341,13 @@ _PRODUCT_MEMO: dict = {}
 def product_group(*factors: FiniteGroup) -> FiniteGroup:
     """Direct product with row-major index maps; memoized on factor identity.
 
-    An order-1 factor changes neither the row-major indices nor the table, so
+    The table depends only on the factor tables, so it is folded once per
+    tuple of them and kept in the first factor's table memo: a fresh product
+    of groups whose tables are already known (a subgroup or quotient from a
+    Bouc round trip) gets the table object of the equal product, and with it
+    every table memo, while its label, factors and decode stay its own. An
+    order-1 factor changes neither the row-major indices nor the table, so
     such a product gets the table object of the product of its other factors,
-    and with it every table memo (fingerprint, classes, subgroup lattice),
     while still decoding to one component per factor.
     """
     if not factors:
@@ -360,12 +364,17 @@ def product_group(*factors: FiniteGroup) -> FiniteGroup:
         g = FiniteGroup(label, base.table, factors=factors)
         _PRODUCT_MEMO[factors] = g
         return g
-    # (A x B) x C has the row-major encoding of A x B x C, so fold pairwise
-    table = factors[0].table
-    for f in factors[1:]:
-        m = f.order
-        table = [tuple(r * m + s for r in ra for s in rb)
-                 for ra in table for rb in f.table]
+    folds = _memo(factors[0], "products", dict)
+    key = tuple(f.table for f in factors[1:])
+    table = folds.get(key)
+    if table is None:
+        # (A x B) x C has the row-major encoding of A x B x C, so fold pairwise
+        table = factors[0].table
+        for f in factors[1:]:
+            m = f.order
+            table = tuple([tuple([r * m + s for r in ra for s in rb])
+                           for ra in table for rb in f.table])
+        folds[key] = table
     g = FiniteGroup(label, table, factors=factors)
     _PRODUCT_MEMO[factors] = g
     return g
@@ -407,35 +416,28 @@ def subgroup(parent: FiniteGroup, members: Iterable[int],
 
 
 def is_subgroup_members(g: FiniteGroup, members: Sequence[int]) -> bool:
+    """Whether ``members`` are the elements of a subgroup of G.
+
+    A finite set closed under multiplication is a subgroup, so S is grown
+    from greedy generators (see :func:`_greedy_closure`), and the check fails
+    as soon as a product leaves S: O(|S| * #generators) products, not |S|^2.
+    """
     s = set(members)
-    if 0 not in s:
+    if 0 not in s or g.order % len(s) or min(s) < 0 or max(s) >= g.order:
         return False
-    if g.order % len(s):
-        return False
-    t = g.table
-    return all(t[a][b] in s for a in s for b in s)
+    # every member ends up in the closure, and the closure stays inside S
+    return _greedy_closure(g, s, s) is not None
 
 
 def closure(g: FiniteGroup, seed: Iterable[int]) -> tuple[int, ...]:
     """Subgroup generated by ``seed`` (finiteness supplies inverses)."""
-    gens = sorted(set(seed) | {0})
-    elems = set(gens)
-    frontier = list(gens)
-    t = g.table
-    while frontier:
-        x = frontier.pop()
-        for s in gens:
-            y = t[x][s]
-            if y not in elems:
-                elems.add(y)
-                frontier.append(y)
-    return tuple(sorted(elems))
+    return tuple(sorted(_greedy_closure(g, seed)[1]))
 
 
 def generating_sequence(g: FiniteGroup) -> tuple[int, ...]:
     """Greedy small generating sequence, deterministic."""
     return _memo(g, "generating_sequence",
-                 lambda: tuple(_subgroup_generators(g, range(g.order))))
+                 lambda: tuple(_greedy_closure(g, range(g.order))[0]))
 
 
 def conjugate_members(g: FiniteGroup, members: Sequence[int], x: int) -> tuple[int, ...]:
@@ -446,7 +448,7 @@ def conjugate_members(g: FiniteGroup, members: Sequence[int], x: int) -> tuple[i
 
 def normalizer_members(g: FiniteGroup, members: Sequence[int]) -> tuple[int, ...]:
     mset = set(members)
-    sub_gens = _subgroup_generators(g, members)
+    sub_gens = _greedy_closure(g, members)[0]
     t, inv = g.table, g.inv
     out = []
     for x in range(g.order):
@@ -456,18 +458,33 @@ def normalizer_members(g: FiniteGroup, members: Sequence[int]) -> tuple[int, ...
     return tuple(out)
 
 
-def _subgroup_generators(g: FiniteGroup, members: Sequence[int]) -> list[int]:
-    """Greedy generators of the subgroup ``members``: each member not yet in
-    the closure of the earlier ones, in the order given."""
+def _greedy_closure(g: FiniteGroup, members: Iterable[int],
+                    inside: Optional[set] = None) -> Optional[tuple[list[int], set]]:
+    """Greedy generators of the subgroup generated by ``members`` (each member
+    not yet in the closure of the earlier ones, in the order given), and that
+    subgroup as a set; None as soon as a product leaves ``inside``.
+
+    The closure stays closed under right multiplication by the generators:
+    a new generator multiplies the old elements, every generator the new ones.
+    """
+    t = g.table
     gens: list[int] = []
     have = {0}
     for a in members:
-        if a not in have:
-            gens.append(a)
-            have = set(closure(g, gens))
-            if len(have) == len(members):
-                break
-    return gens
+        if a in have:
+            continue
+        gens.append(a)
+        todo = [t[x][a] for x in have]
+        while todo:
+            y = todo.pop()
+            if y in have:
+                continue
+            if inside is not None and y not in inside:
+                return None
+            have.add(y)
+            row = t[y]
+            todo += [row[h] for h in gens]
+    return gens, have
 
 
 def is_normal(g: FiniteGroup, members: Sequence[int]) -> bool:
@@ -550,7 +567,7 @@ def _sections(g: FiniteGroup) -> dict[int, list[tuple[tuple, tuple]]]:
     """Pairs (S, N) of subgroups of G with N normal in S, keyed by |S:N|."""
     def build():
         subs = _lattice(g)[0]
-        gens = [_subgroup_generators(g, m) for m in subs]
+        gens = [_greedy_closure(g, m)[0] for m in subs]
         out: dict[int, list[tuple[tuple, tuple]]] = {}
         for s, s_gens in zip(subs, gens):
             s_set = set(s)

@@ -13,10 +13,16 @@ from hypothesis import strategies as st
 import bisetkit
 import bisetkit.cache as cache
 import bisetkit.groups as groups
-from bisetkit.bisets import all_transitive_classes, bouc_decompose, element_of, recompose
+from bisetkit.bisets import (
+    all_transitive_classes,
+    biset_class,
+    bouc_decompose,
+    element_of,
+    recompose,
+)
 from bisetkit.catalog import groups_up_to
 from bisetkit.characters import CharacterVector, character_table
-from bisetkit.dress import DressElement, TripleSubgroup
+from bisetkit.dress import DressElement, TripleSubgroup, triple_subgroup
 from bisetkit.errors import InvalidTable, NotNormal, NotSubgroup, OrderBound
 from bisetkit.green import CRCBackend, RBBackend, RBCBackend, RQBackend, ideal_span
 from bisetkit.groups import (
@@ -38,6 +44,7 @@ from bisetkit.groups import (
     conjugate_members,
     double_cosets,
     is_isomorphic,
+    is_subgroup_members,
     left_cosets,
     make_group,
     mobius_int,
@@ -175,6 +182,29 @@ def test_product_table_is_componentwise():
                 db = p.decode(b)
                 want = tuple(f.table[x][y] for f, x, y in zip(factors, da, db))
                 assert p.table[a][b] == p.encode(want)
+
+
+def test_fresh_subquotient_products_share_the_folded_table():
+    # fresh parents, so their subgroup and quotient are new groups whose
+    # tables equal those of C3 and V4
+    s3 = FiniteGroup("S3f", make_group("symmetric3").table)
+    q8 = FiniteGroup("Q8f", make_group("quaternion8").table)
+    sub = sub_as_group(subgroup(s3, [0, 1, 3]))[0]
+    quo = quotient_group(q8, subgroup(q8, [0, 3]))[0]
+    c1, c2, c3, v4 = (make_group("cyclic", 1), make_group("cyclic", 2),
+                      make_group("cyclic", 3), make_group("klein4"))
+    assert (sub.table, quo.table) == (c3.table, v4.table)
+    for fresh, known in [((sub, quo), (c3, v4)), ((quo, sub, c2), (v4, c3, c2)),
+                         ((sub, c1, quo), (c3, v4))]:
+        p, q = product_group(*fresh), product_group(*known)
+        assert p is not q
+        assert p.table is q.table
+        assert conjugacy_classes(p) is conjugacy_classes(q)
+        assert p.label == "x".join(f.label for f in fresh)
+        assert p.factors == fresh
+        for x in range(p.order):
+            assert p.encode(p.decode(x)) == x
+            assert len(p.decode(x)) == len(fresh)
 
 
 def test_quotient_by_whole_group():
@@ -384,6 +414,53 @@ def test_subgroup_rejects_non_subgroup():
     s3 = make_group("symmetric3")
     with pytest.raises(NotSubgroup):
         subgroup(s3, [0, 1])
+
+
+def test_out_of_range_members_are_not_subgroups():
+    # indices outside range(|G|) never reach the table: no IndexError, and no
+    # negative index read from the end of a row
+    c1, c2, c4 = make_group("cyclic", 1), make_group("cyclic", 2), make_group("cyclic", 4)
+    for check in (lambda: biset_class(c2, c2, [0, 7]),
+                  lambda: subgroup(c2, [0, 5]),
+                  lambda: triple_subgroup(c2, c2, c1, [0, 9]),
+                  lambda: subgroup(c4, [0, 2, -2, -4])):
+        with pytest.raises(NotSubgroup):
+            check()
+
+
+def _is_subgroup_all_pairs(g: FiniteGroup, s: set) -> bool:
+    """The definition: a finite set holding 0 and closed under products."""
+    return 0 in s and all(g.table[a][b] in s for a in s for b in s)
+
+
+def test_subgroup_check_matches_all_pairs_on_every_subset():
+    by_label = {g.label: g for g in groups_up_to(8)}
+    for label in ("C2", "C3", "C4", "V4", "S3", "C4xC2", "C2xC2xC2", "D8", "Q8"):
+        g = by_label[label]
+        found = 0
+        for mask in range(1 << g.order):
+            s = {x for x in range(g.order) if mask >> x & 1}
+            got = is_subgroup_members(g, sorted(s))
+            assert got == _is_subgroup_all_pairs(g, s), (label, sorted(s))
+            found += got
+        assert found == len(subgroups(g)), label
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_subgroup_check_matches_all_pairs_on_products(data):
+    pool = groups_up_to(8)
+    a = data.draw(st.sampled_from(pool))
+    b = data.draw(st.sampled_from([g for g in pool if a.order * g.order <= 64]))
+    p = product_group(a, b)
+    seed = data.draw(st.lists(st.integers(0, p.order - 1), min_size=1, max_size=3))
+    s = set(closure(p, seed))
+    assert is_subgroup_members(p, sorted(s))
+    changed = [s - {data.draw(st.sampled_from(sorted(s)))}]
+    if len(s) < p.order:
+        changed.append(s | {data.draw(st.sampled_from(sorted(set(range(p.order)) - s)))})
+    for t in changed:
+        assert is_subgroup_members(p, sorted(t)) == _is_subgroup_all_pairs(p, t)
 
 
 def _a5() -> FiniteGroup:

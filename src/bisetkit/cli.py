@@ -43,6 +43,7 @@ from .groups import (
     closure,
     conjugacy_classes,
     make_group,
+    order_profile,
     product_group,
     subgroup_classes,
     subgroups,
@@ -179,14 +180,9 @@ def _emit(args, doc: dict, human: str) -> None:
 def cmd_group(args) -> int:
     g = resolve_group(args.name, args.order_bound)
     if args.what == "info":
-        classes = conjugacy_classes(g)
-        orders: dict[int, int] = {}
-        for a in range(g.order):
-            o = g.element_order(a)
-            orders[o] = orders.get(o, 0) + 1
         doc = {"label": g.label, "order": g.order, "abelian": g.is_abelian,
-               "exponent": g.exponent, "conjugacy_classes": len(classes),
-               "element_orders": {str(k): v for k, v in sorted(orders.items())}}
+               "exponent": g.exponent, "conjugacy_classes": len(conjugacy_classes(g)),
+               "element_orders": {str(k): v for k, v in order_profile(g)}}
         _emit(args, doc, "\n".join(f"{k}: {v}" for k, v in doc.items()))
     elif args.what == "subgroups":
         subs = subgroups(g)

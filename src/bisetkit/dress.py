@@ -463,14 +463,7 @@ def admissible_kernel_check(d: TripleSubgroup, max_index_bound: int) -> list[tup
 
 def _normal_within(p: FiniteGroup, d_members: Sequence[int],
                    n_members: Sequence[int]) -> bool:
-    nset = set(n_members)
-    t, inv = p.table, p.inv
-    for x in d_members:
-        xi = inv[x]
-        for m in n_members:
-            if t[t[x][m]][xi] not in nset:
-                return False
-    return True
+    return is_normal(p, n_members, within=d_members)
 
 
 def subgroups_with_full_first(x_grp: FiniteGroup, y_grp: FiniteGroup) -> list[tuple[int, ...]]:

@@ -286,23 +286,21 @@ def _ideal_rowspace(backend, h: FiniteGroup) -> RowSpace:
     middle groups; the first row through each K is checked against the dense
     compose."""
     middles = backend.middle_groups(h)  # CatalogInsufficient before any basis is built
-    width = len(backend.basis_vector(h, h, 0))
-    space = RowSpace(width)
+    space = RowSpace(len(backend.basis_vector(h, h, 0)))
     seen_rows: set = set()
-    zero = Fraction(0)
     for k in middles:
         for n_row, (pair, row) in enumerate(backend.ideal_rows(h, k)):
             if n_row == 0:
                 beta, alpha, scale = backend.generator_inputs(h, k, pair)
                 dense = backend.compose(h, k, h, beta, alpha)
-                if [scale * x for x in dense] != [row.get(c, 0) for c in range(width)]:
+                if [scale * x for x in dense] != [row.get(c, 0) for c in range(space.width)]:
                     raise OracleInconsistent(
                         f"{backend.name}: row {pair} through {k.label} is not compose's")
             key = tuple(sorted(row.items()))
             if key in seen_rows:
                 continue
             seen_rows.add(key)
-            space.add([Fraction(row[c]) if c in row else zero for c in range(width)])
+            space.add(row)
     return space
 
 
@@ -475,11 +473,8 @@ def xn_ideal_dim(m: int) -> int:
         if m % n:
             continue
         ker = kernel_of_reduction(m, n)
-        for u in units:
-            row = [Fraction(0)] * len(units)
-            for t in ker:
-                row[pos[u * t % m]] += 1
-            space.add(row)
+        for u in units:  # u * ker is a coset: its members are distinct
+            space.add({pos[u * t % m]: 1 for t in ker})
     return space.rank
 
 
@@ -568,13 +563,10 @@ def crc_product_span(g: FiniteGroup, k: FiniteGroup) -> dict:
     cg = class_index_map(g)
     ck = class_index_map(k)
     space = RowSpace(len(classes_p))
+    cols = [(cg[a], ck[b]) for a, b in (p.decode(cls[0]) for cls in classes_p)]
     for chi in tg:
         for psi in tk:
-            row = []
-            for cls in classes_p:
-                a, b = p.decode(cls[0])
-                row.append(chi.values[cg[a]] * psi.values[ck[b]])
-            space.add(row)
+            space.add([chi.values[i] * psi.values[j] for i, j in cols])
     target = len(classes_p)
     return {
         "groups": (g.label, k.label),

@@ -487,8 +487,13 @@ def _greedy_closure(g: FiniteGroup, members: Iterable[int],
     return gens, have
 
 
-def is_normal(g: FiniteGroup, members: Sequence[int]) -> bool:
-    return len(normalizer_members(g, members)) == g.order
+def is_normal(g: FiniteGroup, members: Sequence[int],
+              within: Optional[Sequence[int]] = None) -> bool:
+    """Whether the subgroup ``within`` (all of G by default) normalizes the
+    subgroup ``members``, tested on greedy generators of both."""
+    gens = generating_sequence(g) if within is None else _greedy_closure(g, within)[0]
+    nset = set(members)
+    return all(g.conj(x, y) in nset for y in _greedy_closure(g, members)[0] for x in gens)
 
 
 def center(g: FiniteGroup) -> tuple[int, ...]:

@@ -1,13 +1,16 @@
-"""Exact Gaussian elimination over any field-like scalar type.
+"""Exact Gaussian elimination over sparse rows.
 
-Scalars need +, -, *, 1 / x, and bool() as a nonzero test.
-Used with Fraction for rational ranks and kernels, and with rows mixing
-Fractions and CyclotomicNumbers for complex character spans. Pivoting is left-to-right first-nonzero, so all
-results are deterministic.
+A row is a map {column: value} over range(width), or a dense sequence of
+length ``width`` read as the map of its nonzero entries. Values are ints,
+Fractions or CyclotomicNumbers, with bool() as the nonzero test. Pivot rows
+keep their nonzero entries only, scaled by Fraction(1) / lead to 1 at their
+first column (leftmost nonzero pivoting), so int rows give Fraction pivots.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from heapq import heappop, heappush
 from typing import Sequence
 
 from .errors import PreconditionViolated
@@ -18,58 +21,69 @@ class RowSpace:
 
     def __init__(self, width: int):
         self.width = width
-        self.pivots: dict[int, list] = {}  # pivot column -> reduced row
+        self.pivots: dict[int, dict] = {}  # pivot column -> reduced row {column: nonzero}
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
-    def reduce(self, row: Sequence) -> list:
-        r = list(row)
-        if len(r) != self.width:
-            raise PreconditionViolated(f"row of length {len(r)}, row space of width {self.width}")
-        for col in sorted(self.pivots):
-            if r[col]:
-                piv = self.pivots[col]
-                c = r[col]
-                for j in range(col, self.width):
-                    if piv[j]:
-                        r[j] = r[j] - c * piv[j]
+    def reduce(self, row: dict | Sequence) -> dict:
+        """The row minus its combination of pivot rows, as {column: nonzero}."""
+        if isinstance(row, dict):
+            if row and not (0 <= min(row) and max(row) < self.width):
+                raise PreconditionViolated(f"row columns outside range({self.width})")
+            r = {c: x for c, x in row.items() if x}
+        elif len(row) != self.width:
+            raise PreconditionViolated(f"row of length {len(row)}, row space of width {self.width}")
+        else:
+            r = {c: x for c, x in enumerate(row) if x}
+        pivots = self.pivots
+        todo = sorted(c for c in r if c in pivots)  # a sorted list is a heap
+        while todo:
+            col = heappop(todo)
+            c = r.get(col)
+            if c is None:  # cancelled, or pushed twice
+                continue
+            # the pivot row holds 1 at col and nothing left of it
+            for j, p in pivots[col].items():
+                x = r.get(j)
+                if x is None:
+                    r[j] = -c * p
+                    if j in pivots:
+                        heappush(todo, j)
+                else:
+                    r[j] = x = x - c * p
+                    if not x:
+                        del r[j]
         return r
 
-    def add(self, row: Sequence) -> bool:
+    def add(self, row: dict | Sequence) -> bool:
         """Reduce and absorb; True if the rank grew."""
         r = self.reduce(row)
-        for col in range(self.width):
-            if r[col]:
-                inv = 1 / r[col]
-                # scale only the nonzero entries; a zero stays the row's own object
-                self.pivots[col] = [x * inv if x else x for x in r]
-                return True
-        return False
+        if not r:
+            return False
+        col = min(r)
+        inv = Fraction(1) / r[col]
+        self.pivots[col] = {j: x * inv for j, x in r.items()}
+        return True
 
-    def contains(self, row: Sequence) -> bool:
-        return not any(self.reduce(row))
+    def contains(self, row: dict | Sequence) -> bool:
+        return not self.reduce(row)
 
     def nullspace(self) -> list[list]:
         """Basis of {v : r . v = 0 for every absorbed row r}, one vector per
         free column: v[free] = 1 and v[pivot] = -RREF[pivot][free]. The RREF
         is unique, so the basis depends only on the row space."""
-        rref: dict[int, list] = {}
+        # right to left: each row meets only the pivots right of its own
+        rref = RowSpace(self.width)
         for col in sorted(self.pivots, reverse=True):
-            r = self.pivots[col]
-            for c2, piv in rref.items():
-                if r[c2]:
-                    c = r[c2]
-                    r = [a - c * b for a, b in zip(r, piv)]
-            rref[col] = r
+            rref.add(self.pivots[col])
         basis = []
         for free in range(self.width):
-            if free in rref:
-                continue
-            v = [0] * self.width
-            v[free] = 1
-            for col, r in rref.items():
-                v[col] = -r[free]
-            basis.append(v)
+            if free not in rref.pivots:
+                v = [0] * self.width
+                v[free] = 1
+                for col, r in rref.pivots.items():
+                    v[col] = -r.get(free, 0)
+                basis.append(v)
         return basis

@@ -195,7 +195,7 @@ def test_sparse_rows_span_the_dense_ideal(backend, h):
     assert sparse.rank == dense.rank
     assert all(dense.contains(row) for row in sparse.pivots.values())
     assert all(sparse.contains(row) for row in dense.pivots.values())
-    assert all(type(x) is Fraction for row in sparse.pivots.values() for x in row)
+    assert all(type(x) is Fraction for row in sparse.pivots.values() for x in row.values())
 
 
 def test_catalog_insufficient():
@@ -241,11 +241,20 @@ def test_subquotient_ideal_equals_catalog_ideal(name, h):
     assert all(sub.contains(row) for row in cat.pivots.values())
 
 
-@pytest.mark.parametrize("name", ["C16", "D16"])
+# |Out(H)|, frozen from groups.automorphisms
+_OUT_ORDERS = {"C16": 8, "D16": 4, "C4xC4": 96, "Q8xC2": 48}
+
+
+@pytest.mark.parametrize("name", list(_OUT_ORDERS))
 def test_check_out_iso_beyond_catalog(name):
-    rep = check_out_iso(make_group({"C": "cyclic", "D": "dihedral"}[name[0]], 16))
+    c2, c4 = make_group("cyclic", 2), make_group("cyclic", 4)
+    h = {"C16": lambda: make_group("cyclic", 16), "D16": lambda: make_group("dihedral", 16),
+         "C4xC4": lambda: product_group(c4, c4),
+         "Q8xC2": lambda: product_group(group_by_name("Q8"), c2)}[name]()
+    assert h.label == name
+    rep = check_out_iso(h)
     assert rep["match"], rep
-    assert rep["quotient_dim"] == {"C16": 8, "D16": 4}[name]
+    assert rep["quotient_dim"] == _OUT_ORDERS[name]
 
 
 # len(primitive_characters(m)), frozen from that oracle
@@ -274,7 +283,7 @@ def test_ideal_is_two_sided_spot():
     h = make_group("cyclic", 3)
     from bisetkit.green import _ideal_rowspace
     space = _ideal_rowspace(backend, h)
-    rows = [list(r) for r in space.pivots.values()]
+    rows = [[r.get(c, 0) for c in range(space.width)] for r in space.pivots.values()]
     dim_hh = len(backend.basis_labels(h, h))
     for row in rows[:4]:
         for i in range(dim_hh):

@@ -44,6 +44,7 @@ from bisetkit.groups import (
     conjugate_members,
     double_cosets,
     is_isomorphic,
+    is_normal,
     is_subgroup_members,
     left_cosets,
     make_group,
@@ -234,6 +235,18 @@ def test_quotient_rejects_non_normal():
     refl = closure(s3, [2])
     with pytest.raises(NotNormal):
         quotient_group(s3, subgroup(s3, refl))
+
+
+def test_normality_through_generators_matches_every_conjugate():
+    # D normalizes N iff x n x^-1 lies in N for every x in D and n in N
+    for g in groups_up_to(12):
+        subs = [s.members for s in subgroups(g)]
+        for n in subs:
+            nset = set(n)
+            assert is_normal(g, n) == all(g.conj(x, y) in nset for x in range(g.order) for y in n)
+            for d in subs:
+                assert is_normal(g, n, within=d) == \
+                    all(g.conj(x, y) in nset for x in d for y in n), (g.label, d, n)
 
 
 def test_subgroup_counts():

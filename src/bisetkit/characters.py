@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .cyclotomic import Cyc, sort_key
+from .cyclotomic import Cyc, hermitian_gram, sort_key
 from .errors import (
     CharacterTableError,
     FactorMismatch,
@@ -343,13 +343,19 @@ def _char_sort_key(chi: CharacterVector, e: int):
 def character_table(g: FiniteGroup) -> list[CharacterVector]:
     """The irreducible complex characters, exactly.
 
-    Linear characters come from the abelianization; the remaining irreducibles
-    are peeled off inductions of linear characters of subgroups. Every group
-    this toolkit builds is a direct product of cyclic, dihedral and catalog
-    groups, all monomial, and in a monomial group every irreducible is induced
-    from a linear character of a subgroup, so the peel finds them all.
-    Verified on exit (count, degree equation, orthogonality); a failure
-    raises CharacterTableError.
+    A direct product's table is built from its factors' tables: the
+    irreducibles of G1 x ... x Gn are the products chi_1(x_1)...chi_n(x_n).
+    Any other group takes its linear characters, lifted from the
+    abelianization, straight into the table: distinct homomorphisms are
+    irreducible and pairwise orthogonal. The rest are peeled off inductions of
+    linear characters of subgroups, induced one subgroup class at a time in
+    decreasing order until the table is full. Every group this toolkit builds
+    is a direct product of cyclic, dihedral and catalog groups, all monomial,
+    and in a monomial group every irreducible is induced from a linear
+    character of a subgroup, so the peel finds them all.
+    Verified on exit: the count, orthogonality in int numerators over
+    Z[zeta_e] with e = exp G (so a value that is not an algebraic integer
+    fails), and the degree equation; a failure raises CharacterTableError.
     """
     if g.order > CHARACTER_TABLE_BOUND:
         raise OrderBound(f"character table beyond bound: |{g.label}| = {g.order}")
@@ -360,58 +366,62 @@ def _irreducibles(g: FiniteGroup) -> list[CharacterVector]:
     """The verified, sorted irreducibles of :func:`character_table`."""
     r = len(conjugacy_classes(g))
     e = g.exponent
-    irreducibles: list[CharacterVector] = []
-    seen_keys: set = set()
-
-    def consider(psi: CharacterVector) -> None:
-        if len(irreducibles) >= r or psi.is_zero():
-            return
-        red = psi
-        for chi in irreducibles:
-            m = inner_product(red, chi)
-            if m:
-                red = red - chi.scale(m)
-        if red.is_zero():
-            return
-        if inner_product(red, red) == 1:
-            if red.degree() < 0:
-                red = red.scale(-1)
-            key = tuple(sort_key(v, e) for v in red.values)
-            if key not in seen_keys:
-                seen_keys.add(key)
-                irreducibles.append(red)
-
-    for chi in linear_characters(g):
-        consider(chi)
-    if len(irreducibles) < r:
-        pool: list[CharacterVector] = []
-        for cls in subgroup_classes(g):
-            s = cls.representative
-            if s.order in (1, g.order):
-                continue
-            s_grp, _ = sub_as_group(s)
-            for lam in linear_characters(s_grp):
-                pool.append(induced_character(g, s, lam))
-        pool.sort(key=lambda c: c.degree())
-        for psi in pool:
-            consider(psi)
-            if len(irreducibles) == r:
-                break
+    irreducibles = _tensor_products(g) if g.factors else _peeled(g, r)
     if len(irreducibles) != r:
         raise CharacterTableError(
             f"character table of {g.label}: found {len(irreducibles)} of {r}")
+    # |G| <a, b> against |G| delta_ab; <b, a> is the conjugate of <a, b>
+    gram = hermitian_gram(e, [chi.values for chi in irreducibles],
+                          [len(cls) for cls in conjugacy_classes(g)])
+    if gram is None:
+        raise CharacterTableError(
+            f"character table of {g.label}: a value is not an algebraic integer")
+    for (i, j), num in gram.items():
+        if num[0] != (g.order if i == j else 0) or any(num[1:]):
+            raise CharacterTableError(f"orthogonality fails for {g.label} at ({i},{j})")
     if sum(chi.degree() ** 2 for chi in irreducibles) != g.order:
         raise CharacterTableError(f"degree equation fails for {g.label}")
-    # |G| <a, b> against |G| delta_ab; <b, a> is the conjugate of <a, b>, so j >= i
-    sizes = [len(cls) for cls in conjugacy_classes(g)]
-    weighted = [[v.conjugate() * n for v, n in zip(b.values, sizes)] for b in irreducibles]
-    for i, a in enumerate(irreducibles):
-        for j in range(i, r):
-            total = sum(x * y for x, y in zip(a.values, weighted[j]) if x and y)
-            if total != (g.order if i == j else 0):
-                raise CharacterTableError(
-                    f"orthogonality fails for {g.label} at ({i},{j})")
     irreducibles.sort(key=lambda c: _char_sort_key(c, e))
+    return irreducibles
+
+
+def _tensor_products(g: FiniteGroup) -> list[CharacterVector]:
+    """The products chi_1(x_1)...chi_n(x_n) over the tables of the factors of
+    a direct product, each factor read through its class_index_map."""
+    comps = [g.decode(cls[0]) for cls in conjugacy_classes(g)]
+    products = None
+    for pos, f in enumerate(g.factors):
+        idx = class_index_map(f)
+        cols = [idx[x[pos]] for x in comps]
+        reads = [[chi.values[c] for c in cols] for chi in character_table(f)]
+        products = reads if products is None else [
+            [a * b for a, b in zip(p, q)] for p in products for q in reads]
+    return [CharacterVector(g, tuple(p)) for p in products]
+
+
+def _peeled(g: FiniteGroup, r: int) -> list[CharacterVector]:
+    """The linear characters, then the irreducibles peeled off inductions of
+    linear characters, largest subgroups first, until there are r."""
+    irreducibles = linear_characters(g)
+    if len(irreducibles) == r:
+        return irreducibles
+    # stable: within one order, subgroup classes keep their order
+    reps = sorted((cls.representative for cls in subgroup_classes(g)
+                   if 1 < cls.representative.order < g.order), key=lambda s: -s.order)
+    for s in reps:
+        s_grp, _ = sub_as_group(s)
+        for lam in linear_characters(s_grp):
+            red = induced_character(g, s, lam)
+            for chi in irreducibles:
+                m = inner_product(red, chi)
+                if m:
+                    red = red - chi.scale(m)
+            # red is a character orthogonal to every one found, so its norm
+            # is 1 exactly when it is a new irreducible
+            if not red.is_zero() and inner_product(red, red) == 1:
+                irreducibles.append(red)
+                if len(irreducibles) == r:
+                    return irreducibles
     return irreducibles
 
 

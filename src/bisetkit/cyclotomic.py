@@ -18,6 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import mul
 
 from .errors import PreconditionViolated
 
@@ -247,6 +248,62 @@ def _times(e: int, a, b) -> list[int]:
             for j, r in red[k]:
                 out[j] += c * r
     return out
+
+
+def hermitian_gram(e: int, rows, weights) -> dict | None:
+    """sum_k weights[k] rows[i][k] conj(rows[j][k]) for j >= i, keyed (i, j),
+    as int numerators over the power basis of Q(zeta_e); None when some value
+    is not an algebraic integer. e must be a multiple of every conductor.
+
+    A value packs into one int, c z^t as c 2^(b t) with b wide enough for
+    every sum, so an entry is one int convolution (a sum of int products)
+    and one reduction modulo Phi_e."""
+    d = _phi_degree(e)
+    nums, conjs = [], []
+    for row in rows:
+        num_row, conj_row = [], []
+        for v in row:
+            if isinstance(v, CyclotomicNumber):
+                num = v.promote(e).num
+                conj = _power_map(num, e, e - 1)
+                den = v.den
+            else:
+                num = conj = (v.numerator,) + (0,) * (d - 1)
+                den = v.denominator
+            if den != 1:
+                return None
+            num_row.append(num)
+            conj_row.append(conj)
+        nums.append(num_row)
+        conjs.append(conj_row)
+    top = max(abs(c) for row in nums for x in row for c in x)
+    ctop = max(abs(c) for row in conjs for x in row for c in x)
+    b = (sum(weights) * d * top * ctop).bit_length() + 1
+    half, mask = 1 << (b - 1), (1 << b) - 1
+
+    def pack(x) -> int:
+        return sum(c << (b * t) for t, c in enumerate(x) if c)
+
+    packed = [[pack(x) for x in row] for row in nums]
+    cpacked = [[w * pack(x) for x, w in zip(row, weights)] for row in conjs]
+    red = _power_reductions(e)
+    gram = {}
+    for i, a in enumerate(packed):
+        for j in range(i, len(packed)):
+            n = sum(map(mul, a, cpacked[j]))
+            conv = []
+            for _ in range(2 * d - 1):
+                c = ((n + half) & mask) - half
+                conv.append(c)
+                n = (n - c) >> b
+            out = conv[:d]
+            for k in range(d, 2 * d - 1):
+                c = conv[k]
+                if c:
+                    for t, r in red[k]:
+                        out[t] += c * r
+            gram[i, j] = out
+    return gram
 
 
 def _power_map(num, f: int, k: int) -> tuple[int, ...]:

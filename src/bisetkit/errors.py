@@ -50,8 +50,8 @@ class NonRationalValues(BisetkitError):
 
 
 class CatalogInsufficient(BisetkitError):
-    """The crc or rbc ideal needs every group of order below |H|, and the
-    catalog stops short of that order."""
+    """The rbc ideal needs every group of order below |H|, and the catalog
+    stops short of that order."""
 
 
 class NotCentral(BisetkitError):

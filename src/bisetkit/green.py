@@ -12,7 +12,8 @@ isomorphism type: a transitive biset [H x K / L] factors through its Goursat
 quotient p2(L)/k2(L), a subquotient of H (Bouc, LNM 1990), and only the pairs
 whose quotient is K itself are needed. kR_Q is a quotient of kRB as a Green
 biset functor (Artin's induction theorem), so rq composes through the same
-groups. No such proof is written down for crc and rbc, so they compose
+groups. For crc, C1 alone suffices: every chi x psi in R_C(H x H)
+composes through it. No such proof is written down for rbc, so it composes
 through every catalog group of order below |H|.
 
 Backends: rb (double Burnside), rq (rational representations in the Artin
@@ -68,8 +69,12 @@ class CRCBackend:
     name = "crc"
 
     def middle_groups(self, h) -> list[FiniteGroup]:
-        """The groups K the ideal of A(H x H) composes through."""
-        return _catalog_below(h)
+        """The groups K the ideal of A(H x H) composes through: C1 alone.
+        R_C(H x H) has the basis chi x psi over chi, psi in Irr(H), and chi x
+        psi is the composite through C1 of chi in R_C(H x 1) and psi in
+        R_C(1 x H). So for |H| > 1 the ideal is all of R_C(H x H), spanned
+        through C1, and for H = C1 it is zero."""
+        return [make_group("cyclic", 1)] if h.order > 1 else []
 
     def basis_labels(self, h, g) -> list[str]:
         p = product_group(h, g)
@@ -310,8 +315,8 @@ def ideal_span(backend, h: FiniteGroup) -> IdealReport:
     The ideal is spanned by the products of basis classes (rb, rbc) or of
     (rational) class indicators (crc, rq) of A(H x K) and A(K x H), for each
     middle group K of the backend: one proper subquotient of H per isomorphism
-    type for rb and rq, every catalog group of order below |H| for crc and
-    rbc. Bilinearity makes this span the whole submodule.
+    type for rb and rq, C1 for crc, every catalog group of order below |H|
+    for rbc. Bilinearity makes this span the whole submodule.
     Quotient basis labels are the ambient basis elements that stay independent
     modulo the span, scanned in order.
     """

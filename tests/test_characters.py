@@ -19,7 +19,8 @@ from bisetkit.bisets import (
     identity_biset,
     zero_element,
 )
-from bisetkit.catalog import entries, groups_up_to
+from bisetkit import characters
+from bisetkit.catalog import entries, group_by_name, groups_up_to
 from bisetkit.characters import (
     artin_coefficients,
     biset_character,
@@ -37,6 +38,7 @@ from bisetkit.characters import (
 from bisetkit.cyclotomic import Cyc, sort_key
 from bisetkit.errors import NonRationalValues, NotAbelian
 from bisetkit.groups import (
+    FiniteGroup,
     class_index_map,
     closure,
     conjugacy_classes,
@@ -280,6 +282,33 @@ def test_character_table_checks_survive_optimize(tmp_path):
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
+def test_character_table_integrality_survives_optimize(tmp_path):
+    # orthogonality is checked in int numerators, so a value with a
+    # denominator is not an algebraic integer and fails, under -O too; a
+    # fresh copy of C3 has three linear characters and no induction
+    code = textwrap.dedent("""
+        from fractions import Fraction
+        import bisetkit.characters as ch
+        from bisetkit.errors import CharacterTableError
+        from bisetkit.groups import FiniteGroup, make_group
+        c3 = FiniteGroup("C3copy", make_group("cyclic", 3).table)
+        real = ch.linear_characters
+        ch.linear_characters = lambda g: [chi.scale(Fraction(1, 2)) if i == 1 else chi
+                                          for i, chi in enumerate(real(g))]
+        try:
+            ch.character_table(c3)
+        except CharacterTableError as err:
+            raise SystemExit(0 if "algebraic integer" in str(err) else str(err))
+        raise SystemExit("no CharacterTableError under -O")
+    """)
+    src = str(Path(bisetkit.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONOPTIMIZE"}
+    env["PYTHONPATH"] = src
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
 def test_character_checks_survive_optimize(tmp_path):
     # each precondition of the class-function arithmetic raises a typed error
     # under python -O, where an assert would be stripped
@@ -331,17 +360,26 @@ def test_catalog_character_tables_golden():
 
 
 def test_product_table_is_tensor_of_factor_tables():
-    # conductor 35, phi(35) = 24: the table found through the dual group of
-    # C5 x C7 must be the 35 products chi(a) psi(b) of the factor tables
-    c5, c7 = make_group("cyclic", 5), make_group("cyclic", 7)
-    p = product_group(c5, c7)
-    e = p.exponent
-    pairs = [p.decode(cls[0]) for cls in conjugacy_classes(p)]
-    cg, ck = class_index_map(c5), class_index_map(c7)
-    expected = {tuple(sort_key(chi.values[cg[a]] * psi.values[ck[b]], e) for a, b in pairs)
-                for chi in character_table(c5) for psi in character_table(c7)}
-    got = {tuple(sort_key(v, e) for v in chi.values) for chi in character_table(p)}
-    assert len(expected) == 35 and got == expected
+    # a product's table is tensored from its factors' tables; a copy of the
+    # product with no factors gets its table from the peel instead
+    for names in (("C5", "C7"), ("S3", "C3"), ("Q8", "C2")):
+        p = product_group(*map(group_by_name, names))
+        copy = FiniteGroup("copy", p.table)
+        got, peeled = ([tuple(sort_key(v, p.exponent) for v in chi.values) for chi in tab]
+                       for tab in (character_table(p), character_table(copy)))
+        assert got == peeled, names
+
+
+def test_product_table_induces_nothing(monkeypatch):
+    # fresh factors give a fresh product whose table is not memoized yet
+    s3, c3 = (FiniteGroup(f"{n}t", group_by_name(n).table) for n in ("S3", "C3"))
+    character_table(s3), character_table(c3)
+    calls = []
+    real = characters.induced_character
+    monkeypatch.setattr(characters, "induced_character",
+                        lambda *args: calls.append(args) or real(*args))
+    assert len(character_table(product_group(s3, c3))) == 9
+    assert calls == []
 
 
 def test_a4_has_cube_root_values():

@@ -10,7 +10,7 @@ import pytest
 import bisetkit
 from bisetkit.catalog import group_by_name, groups_of_order
 from bisetkit.dress import DressElement, dress_compose
-from bisetkit.errors import CatalogInsufficient, NotDivisor
+from bisetkit.errors import CatalogInsufficient, NotDivisor, OrderBound
 from bisetkit.green import (
     RBBackend,
     RBCBackend,
@@ -199,11 +199,14 @@ def test_sparse_rows_span_the_dense_ideal(backend, h):
 
 
 def test_catalog_insufficient():
-    # crc and rbc still compose through every catalog group below |H|; rb and
-    # rq take subquotients of H and answer on C17 (see test_rq_beyond_catalog)
-    for backend in (CRCBackend(), RBCBackend(make_group("cyclic", 2))):
-        with pytest.raises(CatalogInsufficient):
-            ideal_span(backend, make_group("cyclic", 17))
+    # rbc still composes through every catalog group below |H|; rb and rq take
+    # subquotients of H and answer on C17 (see test_rq_beyond_catalog), and
+    # crc composes through C1 but needs the character table of C17 x C17
+    c17 = make_group("cyclic", 17)
+    with pytest.raises(CatalogInsufficient):
+        ideal_span(RBCBackend(make_group("cyclic", 2)), c17)
+    with pytest.raises(OrderBound):
+        ideal_span(CRCBackend(), c17)
 
 
 class _CatalogIdeal:
@@ -225,7 +228,11 @@ class _CatalogRQ(_CatalogIdeal, RQBackend):
     pass
 
 
-_SUBQUOTIENT_CASES = [(b, h) for b in ("rb", "rq") for n in range(1, 9)
+class _CatalogCRC(_CatalogIdeal, CRCBackend):
+    pass
+
+
+_SUBQUOTIENT_CASES = [(b, h) for b in ("rb", "rq", "crc") for n in range(1, 9)
                       for h in groups_of_order(n)]
 
 
@@ -234,7 +241,8 @@ _SUBQUOTIENT_CASES = [(b, h) for b in ("rb", "rq") for n in range(1, 9)
 def test_subquotient_ideal_equals_catalog_ideal(name, h):
     from bisetkit.green import _ideal_rowspace
     restricted, full = {"rb": (RBBackend(), _CatalogRB()),
-                        "rq": (RQBackend(), _CatalogRQ())}[name]
+                        "rq": (RQBackend(), _CatalogRQ()),
+                        "crc": (CRCBackend(), _CatalogCRC())}[name]
     sub, cat = _ideal_rowspace(restricted, h), _ideal_rowspace(full, h)
     assert sub.rank == cat.rank
     assert all(cat.contains(row) for row in sub.pivots.values())

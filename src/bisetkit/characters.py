@@ -45,7 +45,6 @@ from .groups import (
     sub_as_group,
     subgroup,
     subgroup_classes,
-    subgroups,
 )
 from .linalg import RowSpace
 

@@ -49,11 +49,6 @@ class NonRationalValues(BisetkitError):
     """A character expected to be rational-valued is not."""
 
 
-class CatalogInsufficient(BisetkitError):
-    """The rbc ideal needs every group of order below |H|, and the catalog
-    stops short of that order."""
-
-
 class NotCentral(BisetkitError):
     """A homomorphism required to land in the center does not."""
 

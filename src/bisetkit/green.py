@@ -7,14 +7,29 @@ strictly smaller groups is spanned by products of spanning elements through
 the backend's middle groups, which each backend yields as sparse integer rows;
 exact ranks give the quotient.
 
-For rb the middle groups are the proper subquotients of H, one per
-isomorphism type: a transitive biset [H x K / L] factors through its Goursat
-quotient p2(L)/k2(L), a subquotient of H (Bouc, LNM 1990), and only the pairs
-whose quotient is K itself are needed. kR_Q is a quotient of kRB as a Green
-biset functor (Artin's induction theorem), so rq composes through the same
-groups. For crc, C1 alone suffices: every chi x psi in R_C(H x H)
-composes through it. No such proof is written down for rbc, so it composes
-through every catalog group of order below |H|.
+For rbc, A(H x K) = RB(H x K x C), and rb is rbc at C = C1. The middle
+groups are the subquotients of H x C of order below |H|, one per isomorphism
+type, and only the pairs whose Goursat quotient on the K side is K itself are
+composed. Proof, by Bouc's Goursat factorization of a transitive biset (Bouc,
+Biset Functors for Finite Groups, LNM 1990) applied to RB(H x C, K):
+
+- Take a = [H x K x C / E] in A(H x K) and read E as an (H x C, K)-biset.
+  The factorization writes a = a' u, with u in RB(K', K) and a' in
+  A(H x K'), where K' = p_K(E)/k_K(E) and k_K(E) = {k : (1, k, 1) in E}.
+- K' is isomorphic to p_{H x C}(E)/k_{H x C}(E), so it is a subquotient of
+  H x C, and |K'| <= |K|, with equality only if p_K(E) = K and k_K(E) = 1.
+- The unit RB -> RB_C inflates along C -> 1, so C acts trivially on the
+  image of u, and the A-product with that image is the biset composite
+  (dress_identity is the image of Delta(G)). So a b = a' (u b) factors
+  through K' for every b in A(K x H). The same argument on the right
+  handles b = [K x H x C / D], with K'' = p_K(D)/k_K(D).
+- By induction on |K|, a pair whose quotient on either side is smaller than
+  K is already among the rows through a smaller K', and every group of order
+  below |H| reaches the ideal only through such a K'.
+
+kR_Q is a quotient of kRB as a Green biset functor (Artin's induction
+theorem), so rq composes through the same groups as rb. For crc, C1 alone
+suffices: every chi x psi in R_C(H x H) composes through it.
 
 Backends: rb (double Burnside), rq (rational representations in the Artin
 basis), crc (complex representations by irreducible characters), rbc (the
@@ -31,7 +46,6 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional, Sequence
 
-from . import catalog as _catalog
 from .bisets import compose_transitive
 from .characters import (
     CharacterVector,
@@ -42,8 +56,8 @@ from .characters import (
     rq_cyclic_basis,
 )
 from .dress import DressElement, bilinear_compose, dress_compose_members, dress_identity
-from .errors import (AuditFailed, CatalogInsufficient, NotDivisor, OracleInconsistent,
-                     OrderBound, PreconditionViolated)
+from .errors import (AuditFailed, NotDivisor, OracleInconsistent, OrderBound,
+                     PreconditionViolated)
 from .groups import (
     FiniteGroup,
     _memo,
@@ -126,7 +140,7 @@ class RQBackend(CRCBackend):
     name = "rq"
 
     def middle_groups(self, h) -> list[FiniteGroup]:
-        return proper_subquotients(h)
+        return subquotients_below(h, h.order)
 
     def class_keys(self, p) -> tuple[int, ...]:
         return rq_class_index_map(p)  # rational classes span the Artin basis
@@ -150,8 +164,12 @@ class RBCBackend:
         self.c = c
 
     def middle_groups(self, h) -> list[FiniteGroup]:
-        """The groups K the ideal of A(H x H) composes through."""
-        return _catalog_below(h)
+        """The groups K the ideal of A(H x H) composes through: the
+        subquotients of H x C of order below |H|, one per isomorphism type
+        (the module docstring has the proof). At C = C1 they are read from
+        the section classes of H itself, which its Goursat lattice fills."""
+        return subquotients_below(product_group(h, self.c) if self.c.order > 1 else h,
+                                  h.order)
 
     def _index(self, h, g) -> dict[tuple[int, ...], int]:
         """Class rep -> basis index, memoized per table of the product group."""
@@ -187,9 +205,19 @@ class RBCBackend:
         return [coeffs.get(rep, Fraction(0)) for rep in self._index(g, g)]
 
     def factor_classes(self, h, k):
-        """The basis classes (i, rep) of A(H x K) and of A(K x H) whose
-        products make the rows through K: all of them."""
-        return list(enumerate(self._index(h, k))), list(enumerate(self._index(k, h)))
+        """The classes whose Goursat quotient on the K side is K itself:
+        E <= H x K x C with p_K(E) = K and k_K(E) = 1, and D <= K x H x C
+        with p_K(D) = K and k_K(D) = 1. A pair with a smaller quotient
+        factors through a smaller subquotient of H x C, whose own rows are
+        already in the ideal."""
+        ho, ko, co = h.order, k.order, self.c.order  # (x, y, z) is (x*|Y| + y)*|C| + z
+        lefts = [(i, rep) for i, rep in enumerate(self._index(h, k))
+                 if len({x // co % ko for x in rep}) == ko
+                 and sum(x < ko * co and x % co == 0 for x in rep) == 1]
+        rights = [(j, rep) for j, rep in enumerate(self._index(k, h))
+                  if len({x // (ho * co) for x in rep}) == ko
+                  and sum(x % (ho * co) == 0 for x in rep) == 1]
+        return lefts, rights
 
     def ideal_rows(self, h, k):
         """((i, j), product of basis classes i and j as {basis index: int})."""
@@ -213,38 +241,14 @@ class RBBackend(RBCBackend):
     def __init__(self):
         super().__init__(make_group("cyclic", 1))
 
-    def middle_groups(self, h) -> list[FiniteGroup]:
-        return proper_subquotients(h)
-
-    def factor_classes(self, h, k):
-        """The classes whose Goursat quotient is K itself: L <= H x K with
-        p2(L) = K and k2(L) = 1, and M <= K x H with p1(M) = K and k1(M) = 1.
-        A pair with a smaller quotient factors through a smaller subquotient
-        of H, whose own rows are already in the ideal."""
-        ho, ko = h.order, k.order  # (x, y) in X x Y x C1 is x*|Y| + y
-        lefts = [(i, rep) for i, rep in enumerate(self._index(h, k))
-                 if len({x % ko for x in rep}) == ko and sum(x < ko for x in rep) == 1]
-        rights = [(j, rep) for j, rep in enumerate(self._index(k, h))
-                  if len({x // ho for x in rep}) == ko and sum(x % ho == 0 for x in rep) == 1]
-        return lefts, rights
-
     def compose_pair(self, h, g, k, lrep, mrep) -> dict[tuple[int, ...], Fraction]:
         return compose_transitive(h, g, k, lrep, mrep).coeffs
 
 
-def _catalog_below(h: FiniteGroup) -> list[FiniteGroup]:
-    """Every catalog group of order below |H|."""
-    if h.order - 1 > _catalog.CATALOG_MAX_ORDER:
-        raise CatalogInsufficient(
-            f"need all groups of order < {h.order}, catalog stops at "
-            f"{_catalog.CATALOG_MAX_ORDER}")
-    return [k for n in range(1, h.order) for k in _catalog.groups_of_order(n)]
-
-
-def proper_subquotients(h: FiniteGroup) -> list[FiniteGroup]:
-    """One group per isomorphism type of the subquotients of H of order below
-    |H|, by order and then section order."""
-    return [k for n in range(1, h.order) for k in section_classes(h, n)[0]]
+def subquotients_below(g: FiniteGroup, bound: int) -> list[FiniteGroup]:
+    """One group per isomorphism type of the subquotients of G of order below
+    ``bound``, by order and then section order."""
+    return [k for n in range(1, bound) for k in section_classes(g, n)[0]]
 
 
 def get_backend(name: str, c: Optional[FiniteGroup] = None):
@@ -290,10 +294,9 @@ def _ideal_rowspace(backend, h: FiniteGroup) -> RowSpace:
     """Reduced row space of the distinct generator rows through the backend's
     middle groups; the first row through each K is checked against the dense
     compose."""
-    middles = backend.middle_groups(h)  # CatalogInsufficient before any basis is built
     space = RowSpace(len(backend.basis_vector(h, h, 0)))
     seen_rows: set = set()
-    for k in middles:
+    for k in backend.middle_groups(h):
         for n_row, (pair, row) in enumerate(backend.ideal_rows(h, k)):
             if n_row == 0:
                 beta, alpha, scale = backend.generator_inputs(h, k, pair)
@@ -314,9 +317,9 @@ def ideal_span(backend, h: FiniteGroup) -> IdealReport:
 
     The ideal is spanned by the products of basis classes (rb, rbc) or of
     (rational) class indicators (crc, rq) of A(H x K) and A(K x H), for each
-    middle group K of the backend: one proper subquotient of H per isomorphism
-    type for rb and rq, C1 for crc, every catalog group of order below |H|
-    for rbc. Bilinearity makes this span the whole submodule.
+    middle group K of the backend: one subquotient of H x C of order below
+    |H| per isomorphism type for rbc (rb and rq at C = C1), and C1 for crc.
+    Bilinearity makes this span the whole submodule.
     Quotient basis labels are the ambient basis elements that stay independent
     modulo the span, scanned in order.
     """

@@ -41,6 +41,17 @@ def test_ahat_rb_beyond_catalog(capsys):
     assert "quotient 4" in out
 
 
+def test_ahat_rbc_beyond_lattice_bound(capsys):
+    # rbc composes through subquotients of C17 x C2, so only the lattice of
+    # C17 x C17 x C2 stops it, never a catalog
+    code, out, err = run(capsys, "ahat", "--backend", "rbc", "--group", "C17", "--c", "C2")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "578 exceeds bound 256" in err
+    assert "catalog" not in err
+
+
 def test_ahat_json_deterministic(capsys):
     code1, out1, _ = run(capsys, "--json", "ahat", "--backend", "rb",
                          "--group", "C3")

@@ -10,7 +10,7 @@ import pytest
 import bisetkit
 from bisetkit.catalog import group_by_name, groups_of_order
 from bisetkit.dress import DressElement, dress_compose
-from bisetkit.errors import CatalogInsufficient, NotDivisor, OrderBound
+from bisetkit.errors import NotDivisor, OrderBound
 from bisetkit.green import (
     RBBackend,
     RBCBackend,
@@ -179,16 +179,24 @@ def _dense_rowspace(backend, h):
     return space
 
 
-_C2 = make_group("cyclic", 2)
+_C2, _C3, _C4, _V4 = (group_by_name(n) for n in ("C2", "C3", "C4", "V4"))
 _EQUIVALENCE_CASES = (
     [(RBBackend(), h) for n in range(1, 7) for h in groups_of_order(n)]
     + [(RQBackend(), h) for n in range(1, 7) for h in groups_of_order(n)]
-    + [(RBCBackend(_C2), h) for n in range(1, 6) for h in groups_of_order(n)]
-    + [(CRCBackend(), h) for n in range(1, 5) for h in groups_of_order(n)])
+    + [(RBCBackend(c), h) for c in (_C2, _C3) for n in range(1, 7) for h in groups_of_order(n)]
+    + [(RBCBackend(c), h) for c in (_C4, _V4) for n in range(1, 4) for h in groups_of_order(n)]
+    + [(RBCBackend(c), group_by_name(h)) for c, h in ((_C4, "C4"), (_C4, "C5"), (_V4, "C4"))]
+    + [(CRCBackend(), h) for n in range(1, 7) for h in groups_of_order(n)])
+
+
+def _case_id(backend, h):
+    """backend-H, with the shift group after an @ for rbc at any C but C2."""
+    shift = f"@{backend.c.label}" if backend.name == "rbc" and backend.c.order != 2 else ""
+    return f"{backend.name}{shift}-{h.label}"
 
 
 @pytest.mark.parametrize("backend,h", _EQUIVALENCE_CASES,
-                         ids=[f"{b.name}-{h.label}" for b, h in _EQUIVALENCE_CASES])
+                         ids=[_case_id(b, h) for b, h in _EQUIVALENCE_CASES])
 def test_sparse_rows_span_the_dense_ideal(backend, h):
     from bisetkit.green import _ideal_rowspace
     sparse, dense = _ideal_rowspace(backend, h), _dense_rowspace(backend, h)
@@ -198,15 +206,10 @@ def test_sparse_rows_span_the_dense_ideal(backend, h):
     assert all(type(x) is Fraction for row in sparse.pivots.values() for x in row.values())
 
 
-def test_catalog_insufficient():
-    # rbc still composes through every catalog group below |H|; rb and rq take
-    # subquotients of H and answer on C17 (see test_rq_beyond_catalog), and
+def test_crc_beyond_character_table_bound():
     # crc composes through C1 but needs the character table of C17 x C17
-    c17 = make_group("cyclic", 17)
-    with pytest.raises(CatalogInsufficient):
-        ideal_span(RBCBackend(make_group("cyclic", 2)), c17)
     with pytest.raises(OrderBound):
-        ideal_span(CRCBackend(), c17)
+        ideal_span(CRCBackend(), make_group("cyclic", 17))
 
 
 class _CatalogIdeal:
@@ -217,7 +220,7 @@ class _CatalogIdeal:
         return [k for n in range(1, h.order) for k in groups_of_order(n)]
 
     def factor_classes(self, h, k):
-        return RBCBackend.factor_classes(self, h, k)
+        return list(enumerate(self._index(h, k))), list(enumerate(self._index(k, h)))
 
 
 class _CatalogRB(_CatalogIdeal, RBBackend):

@@ -135,21 +135,6 @@ def goursat_data(left: FiniteGroup, right: FiniteGroup,
     return GoursatData(d, c, b, a, f, b_quot, b_proj, d_quot, d_proj)
 
 
-def goursat_reconstruct(left: FiniteGroup, right: FiniteGroup,
-                        gd: GoursatData) -> tuple[int, ...]:
-    """Members of the subgroup of left x right encoded by gd."""
-    p = product_group(left, right)
-    d_index = {x: i for i, x in enumerate(gd.d.members)}
-    b_index = {x: i for i, x in enumerate(gd.b.members)}
-    out = []
-    for dd in gd.d.members:
-        dq = gd.d_proj(d_index[dd])
-        for bb in gd.b.members:
-            if gd.f(gd.b_proj(b_index[bb])) == dq:
-                out.append(p.encode((dd, bb)))
-    return tuple(sorted(out))
-
-
 def _graph_class(left: FiniteGroup, right: FiniteGroup, pairs) -> TripleSubgroup:
     """The class of the subgroup {(l, r)} of left x right listed by ``pairs``.
 

@@ -294,9 +294,7 @@ def dress_oracle(e: TripleSubgroup, d: TripleSubgroup) -> DressElement:
     p_gkc = product_group(g, k, c)
 
     xs = left_cosets(p_glc, e.members)
-    xs.sort(key=lambda cs: cs[0])
     ys = left_cosets(p_lkc, d.members)
-    ys.sort(key=lambda cs: cs[0])
     nx, ny = len(xs), len(ys)
     if nx * ny > ORACLE_POINT_BOUND:
         raise OrderBound("dress oracle point bound exceeded")
@@ -456,14 +454,9 @@ def admissible_kernel_check(d: TripleSubgroup, max_index_bound: int) -> list[tup
     for members in p3_injective_subgroups(d):
         if d.order // len(members) > max_index_bound:
             continue
-        if _normal_within(p, d.members, members):
+        if is_normal(p, members, within=d.members):
             out.append(members)
     return sorted(out, key=lambda m: (len(m), m))
-
-
-def _normal_within(p: FiniteGroup, d_members: Sequence[int],
-                   n_members: Sequence[int]) -> bool:
-    return is_normal(p, n_members, within=d_members)
 
 
 def subgroups_with_full_first(x_grp: FiniteGroup, y_grp: FiniteGroup) -> list[tuple[int, ...]]:
@@ -612,7 +605,7 @@ def counterexample_check() -> dict:
         _audit(len(thirds) == 4, "candidate kernel must be p3-injective")
         candidates.append({
             "generator": list(p_ghc.decode(m)),
-            "normal_in_D": _normal_within(p_ghc, d.members, n),
+            "normal_in_D": is_normal(p_ghc, n, within=d.members),
         })
     _audit(len(four) == 4, "exactly four order-4 third-coordinate elements")
     _audit(not any(x["normal_in_D"] for x in candidates),

@@ -923,7 +923,6 @@ def quotient_group(g: FiniteGroup, n: Subgroup) -> tuple[FiniteGroup, GroupHom]:
     if not is_normal(g, n.members):
         raise NotNormal(f"{list(n.members)} is not normal in {g.label}")
     cosets = left_cosets(g, n.members)
-    cosets.sort(key=lambda c: c[0])
     coset_of = [0] * g.order
     for i, cs in enumerate(cosets):
         for x in cs:

@@ -20,7 +20,6 @@ from bisetkit.bisets import (
     elementary_biset,
     external_product,
     goursat_data,
-    goursat_reconstruct,
     hat_right,
     identity_biset,
     opposite,
@@ -76,15 +75,6 @@ def test_goursat_twisted_diagonal_inversion():
     assert gd.b.members == tuple(range(4))
     # f is the inversion automorphism of C4 transported to the quotients
     assert gd.f.images == (0, 3, 2, 1)
-
-
-def test_goursat_reconstruct_roundtrip():
-    from bisetkit.groups import subgroups
-    for left, right in [(C2, C4), (S3, C2), (V4, V4)]:
-        p = product_group(left, right)
-        for s in subgroups(p):
-            gd = goursat_data(left, right, s.members)
-            assert goursat_reconstruct(left, right, gd) == s.members
 
 
 def test_res_then_ind_is_double_point():

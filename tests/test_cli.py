@@ -270,6 +270,22 @@ GOLDEN_JSON = [
     (("ahat", "--backend", "crc", "--group", "C4"),
      '{"ambient": 16, "backend": "crc", "basis": [], "group": "C4", "ideal": 16, '
      '"quotient": 0}'),
+    (("ahat", "--backend", "rb", "--group", "S3"),
+     '{"ambient": 22, "backend": "rb", "basis": ["[0, 7, 14, 21, 28, 35]"], "group": "S3", '
+     '"ideal": 21, "quotient": 1}'),
+    (("ahat", "--backend", "rb", "--group", "D8"),
+     '{"ambient": 214, "backend": "rb", "basis": ["[0, 9, 18, 27, 36, 45, 54, 63]", '
+     '"[0, 9, 20, 27, 39, 42, 54, 61]"], "group": "D8", "ideal": 212, "quotient": 2}'),
+    (("ahat", "--backend", "rbc", "--c", "C2", "--group", "S3"),
+     '{"ambient": 69, "backend": "rbc", "basis": ["[0, 14, 28, 42, 56, 70]", '
+     '"[0, 14, 29, 42, 57, 71]", "[0, 1, 14, 15, 28, 29, 42, 43, 56, 57, 70, 71]"], '
+     '"group": "S3", "ideal": 66, "quotient": 3}'),
+    (("ahat", "--backend", "rbc", "--c", "C3", "--group", "C3"),
+     '{"ambient": 28, "backend": "rbc", "basis": ["[0, 12, 24]", "[0, 15, 21]", '
+     '"[0, 1, 2, 12, 13, 14, 24, 25, 26]", "[0, 1, 2, 15, 16, 17, 21, 22, 23]", '
+     '"[0, 4, 8, 10, 14, 15, 20, 21, 25]", "[0, 4, 8, 11, 12, 16, 19, 23, 24]", '
+     '"[0, 5, 7, 10, 12, 17, 20, 22, 24]", "[0, 5, 7, 11, 13, 15, 19, 21, 26]"], '
+     '"group": "C3", "ideal": 20, "quotient": 8}'),
     (("lin-kernel", "A4"),
      '{"class_reps": [[0], [0, 2], [0, 1, 3], [0, 2, 10, 11], '
      '[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11]], "group": "A4", "kernel_dim": 2, '
@@ -300,7 +316,8 @@ GOLDEN_JSON = [
 
 @pytest.mark.parametrize("argv, expected", GOLDEN_JSON,
                          ids=["bouc-S3-C2", "bouc-Q8-S3", "ahat-rq-C5", "ahat-crc-C3", "crc-check-S3-D10",
-                              "crc-check-C5-C3", "ahat-crc-C4",
+                              "crc-check-C5-C3", "ahat-crc-C4", "ahat-rb-S3", "ahat-rb-D8",
+                              "ahat-rbc-S3-C2", "ahat-rbc-C3-C3",
                               "lin-kernel-A4", "lin-kernel-C2xC2xC2",
                               "lin-kernel-D12"])
 def test_json_output_golden(capsys, argv, expected):

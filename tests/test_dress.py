@@ -344,7 +344,7 @@ def test_counterexample_audit_survives_optimize(tmp_path):
     code = textwrap.dedent("""
         import bisetkit.dress as dress
         from bisetkit.errors import AuditFailed
-        dress._normal_within = lambda p, d_members, n_members: True
+        dress.is_normal = lambda g, members, within=None: True
         try:
             dress.counterexample_check()
         except AuditFailed:

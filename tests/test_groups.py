@@ -423,6 +423,16 @@ def test_sub_as_group_and_cosets():
     assert len(left_cosets(s3, s.members)) == 2
 
 
+def test_left_cosets_listed_by_least_element():
+    # quotient_group and dress_oracle index cosets in this order unsorted
+    for g in (make_group("symmetric3"), make_group("dihedral", 8), make_group("quaternion8")):
+        for s in subgroups(g):
+            cosets = left_cosets(g, s.members)
+            assert [cs[0] for cs in cosets] == sorted(min(cs) for cs in cosets)
+            assert all(list(cs) == sorted(cs) for cs in cosets)
+            assert sorted(x for cs in cosets for x in cs) == list(range(g.order))
+
+
 def test_subgroup_rejects_non_subgroup():
     s3 = make_group("symmetric3")
     with pytest.raises(NotSubgroup):

@@ -251,6 +251,10 @@ def cmd_ahat(args) -> int:
     if args.backend == "rbc" and not args.c:
         print("usage error: --backend rbc requires --c", file=sys.stderr)
         return 2
+    if args.backend != "rbc" and args.c:
+        print(f"usage error: --c applies only to --backend rbc, not {args.backend}",
+              file=sys.stderr)
+        return 2
     h = resolve_group(args.group, args.order_bound)
     c = resolve_group(args.c, args.order_bound) if args.c else None
     backend = get_backend(args.backend, c)

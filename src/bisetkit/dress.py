@@ -16,9 +16,10 @@ DressElement, both with c = C1. dress_compose_members and dress_oracle at C1
 are the Mackey formula and the orbit oracle behind bisets.compose_transitive
 and bisets.compose_oracle, and bilinear_compose extends both products.
 
-The module also hosts the factorization machinery: which classes factor
-through strictly smaller middle groups, the kernel-shape pruning that powers
-it, and the quaternion/dihedral counterexample for |C| = 4.
+The module also hosts the factorization machinery: the middle groups and
+factor classes that Bouc's factorization allows (read by the rb/rbc ideals
+too), the decomposability search with its kernel-shape pruning, the
+quaternion/dihedral counterexample for |C| = 4 and the bridge scan.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
 
-from . import catalog as _catalog
 from .errors import (
     AuditFailed,
     FactorMismatch,
@@ -44,7 +44,6 @@ from .groups import (
     FiniteGroup,
     GroupHom,
     _goursat_subgroups,
-    _sections,
     canonical_subgroup_rep,
     center,
     closure,
@@ -61,6 +60,7 @@ from .groups import (
     subgroup,
     subgroup_classes,
     subgroups,
+    subquotients_below,
 )
 
 ORACLE_POINT_BOUND = 1 << 20
@@ -420,6 +420,48 @@ def trivial_hom(c: FiniteGroup, g: FiniteGroup) -> GroupHom:
 
 
 # ---------------------------------------------------------------------------
+# Middle groups from Bouc's factorization
+# ---------------------------------------------------------------------------
+#
+# Proof of the rule, by Bouc's Goursat factorization of a transitive biset
+# (Bouc, Biset Functors for Finite Groups, LNM 1990) applied to RB(X x C, K).
+# Read a = [X x K x C / E] as an (X x C, K)-biset: a = a' u, with u in
+# RB(K', K), a' in RB_C(X x K') and K' = p_K(E)/k_K(E), where k_K(E) =
+# {k : (1, k, 1) in E}. K' is isomorphic to p_{X x C}(E)/k_{X x C}(E), a
+# subquotient of X x C, and |K'| < |K| unless p_K(E) = K and k_K(E) = 1.
+# The unit RB -> RB_C inflates along C -> 1, so the RB_C product with the
+# image of u is the biset composite (dress_identity is the image of
+# Delta(X)), and a b = a' (u b) factors through K' for every b; likewise on
+# the right, with K'' = p_K(D)/k_K(D) for b = [K x Y x C / D]. By induction
+# on |K|, every product through a group of order below the bound lies in the
+# products through middle_groups of the pairs from factor_classes.
+
+def middle_groups(x: FiniteGroup, c: FiniteGroup, bound: int) -> list[FiniteGroup]:
+    """The subquotients of X x C of order below ``bound``, one per
+    isomorphism type: all a morphism of RB_C at X factors through. At C = C1
+    they are the section classes of X itself, which its Goursat lattice fills."""
+    return subquotients_below(product_group(x, c) if c.order > 1 else x, bound)
+
+
+def factor_classes(g: FiniteGroup, k: FiniteGroup, h: FiniteGroup,
+                   c: FiniteGroup) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """The class reps whose Goursat quotient on the K side is K itself:
+    E <= G x K x C with p_K(E) = K and k_K(E) = 1, and D <= K x H x C with
+    p_K(D) = K and k_K(D) = 1, in subgroup_classes order. A pair with a
+    smaller quotient composes through a smaller subquotient."""
+    ho, ko, co = h.order, k.order, c.order  # (x, y, z) is (x*|Y| + y)*|C| + z
+    lefts = [rep for rep in (cls.representative.members
+                             for cls in subgroup_classes(product_group(g, k, c)))
+             if len({x // co % ko for x in rep}) == ko
+             and sum(x < ko * co and x % co == 0 for x in rep) == 1]
+    rights = [rep for rep in (cls.representative.members
+                              for cls in subgroup_classes(product_group(k, h, c)))
+              if len({x // (ho * co) for x in rep}) == ko
+              and sum(x % (ho * co) == 0 for x in rep) == 1]
+    return lefts, rights
+
+
+# ---------------------------------------------------------------------------
 # Kernel-shape analysis and decomposability
 # ---------------------------------------------------------------------------
 
@@ -459,33 +501,17 @@ def admissible_kernel_check(d: TripleSubgroup, max_index_bound: int) -> list[tup
     return sorted(out, key=lambda m: (len(m), m))
 
 
-def subgroups_with_full_first(x_grp: FiniteGroup, y_grp: FiniteGroup) -> list[tuple[int, ...]]:
-    """All subgroups A <= X x Y with p1(A) = X, encoded in product(X, Y): in
-    Goursat's terms, those whose section on the X side is N <| X."""
-    full = {index: [(s, n) for s, n in pairs if len(s) == x_grp.order]
-            for index, pairs in _sections(x_grp).items()}
-    return _goursat_subgroups(x_grp, y_grp, full)
-
-
-def _side_classes(x: FiniteGroup, k: FiniteGroup, c: FiniteGroup,
-                  pos: int) -> list[tuple[int, ...]]:
-    """Class reps of subgroups of X x K x C (pos 0) or K x X x C (pos 1)
-    that project onto the X factor at ``pos``."""
-    p_xkc = product_group(x, k, c)
-    # an index of X x (K x C) is already the index of X x K x C
-    subs = subgroups_with_full_first(x, product_group(k, c))
-    if pos == 0:
-        return sorted({canonical_subgroup_rep(p_xkc, m) for m in subs})
-    p_kxc = product_group(k, x, c)
-    return sorted({canonical_subgroup_rep(p_kxc, [p_kxc.encode((kk, xx, cc))
-                                                  for xx, kk, cc in map(p_xkc.decode, m)])
-                   for m in subs})
-
-
 def is_star_decomposable(d: TripleSubgroup, order_bound: int) -> Optional[dict]:
     """Search for K, A <= G x K x C, B <= K x H x C and a shift with
     D conjugate to A * shifted B; None if no witness exists. D must project
     onto G and onto H, so A projects onto G and B onto H.
+
+    K runs over middle_groups(G, C, bound + 1), and (A, B) over the pairs of
+    factor_classes(G, K, H, C) onto G and onto H. A witness through K of
+    least order has p_K(A) = K and k_K(A) = 1, and so for B: otherwise
+    Bouc's factorization A = A' u (see above) makes D a transitive summand,
+    a shifted star, of A' times a summand of u B, through a smaller K'. So K
+    is isomorphic to p_{G x C}(A)/k_{G x C}(A), a subquotient of G x C.
 
     When D is in graph form, the kernel-shape constraint applies: any
     factorization morphism kernel N is injective on the third coordinate,
@@ -502,24 +528,23 @@ def is_star_decomposable(d: TripleSubgroup, order_bound: int) -> Optional[dict]:
     if _graph_form(d):
         first = min((d.order // len(n) for n in admissible_kernel_check(d, order_bound)),
                     default=order_bound + 1)
+    if first > order_bound:
+        return None
 
-    for o in range(first, order_bound + 1):
-        for kgrp in _catalog.groups_of_order(o):
-            a_list = _side_classes(g, kgrp, c, 0)
-            b_list = _side_classes(h, kgrp, c, 1)
-            for a_members in a_list:
-                for b_members in b_list:
-                    for shift, star in _shifted_stars(g, kgrp, h, c,
-                                                      a_members, b_members):
-                        if len(star) != len(d.members):
-                            continue
-                        if canonical_subgroup_rep(p_ghc, star) == d_canon:
-                            return {
-                                "k": kgrp,
-                                "a_members": a_members,
-                                "b_members": b_members,
-                                "shift": shift,
-                            }
+    go, ho, co = g.order, h.order, c.order  # (x, y, z) is (x*|Y| + y)*|C| + z
+    for kgrp in middle_groups(g, c, order_bound + 1):
+        if kgrp.order < first:
+            continue
+        kc = kgrp.order * co
+        lefts, rights = factor_classes(g, kgrp, h, c)
+        lefts = [a for a in lefts if len({x // kc for x in a}) == go]
+        rights = [b for b in rights if len({x // co % ho for x in b}) == ho]
+        for a_members in lefts:
+            for b_members in rights:
+                for shift, star in _shifted_stars(g, kgrp, h, c, a_members, b_members):
+                    if len(star) == d.order and canonical_subgroup_rep(p_ghc, star) == d_canon:
+                        return {"k": kgrp, "a_members": a_members,
+                                "b_members": b_members, "shift": shift}
     return None
 
 

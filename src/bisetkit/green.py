@@ -11,28 +11,17 @@ orbit oracle for rb and rbc, the composition of class functions for rq and
 crc.
 
 For rbc, A(H x K) = RB(H x K x C), and rb is rbc at C = C1. The middle
-groups are the subquotients of H x C of order below |H|, one per isomorphism
-type, and only the pairs whose Goursat quotient on the K side is K itself are
-composed. Proof, by Bouc's Goursat factorization of a transitive biset (Bouc,
-Biset Functors for Finite Groups, LNM 1990) applied to RB(H x C, K):
+groups are dress.middle_groups, the subquotients of H x C of order below
+|H|, and only the pairs from dress.factor_classes are composed; the proof,
+by Bouc's Goursat factorization, sits next to those two functions.
 
-- Take a = [H x K x C / E] in A(H x K) and read E as an (H x C, K)-biset.
-  The factorization writes a = a' u, with u in RB(K', K) and a' in
-  A(H x K'), where K' = p_K(E)/k_K(E) and k_K(E) = {k : (1, k, 1) in E}.
-- K' is isomorphic to p_{H x C}(E)/k_{H x C}(E), so it is a subquotient of
-  H x C, and |K'| <= |K|, with equality only if p_K(E) = K and k_K(E) = 1.
-- The unit RB -> RB_C inflates along C -> 1, so C acts trivially on the
-  image of u, and the A-product with that image is the biset composite
-  (dress_identity is the image of Delta(G)). So a b = a' (u b) factors
-  through K' for every b in A(K x H). The same argument on the right
-  handles b = [K x H x C / D], with K'' = p_K(D)/k_K(D).
-- By induction on |K|, a pair whose quotient on either side is smaller than
-  K is already among the rows through a smaller K', and every group of order
-  below |H| reaches the ideal only through such a K'.
-
-kR_Q is a quotient of kRB as a Green biset functor (Artin's induction
-theorem), so rq composes through the same groups as rb. For crc, C1 alone
-suffices: every chi x psi in R_C(H x H) composes through it.
+rq keeps only the cyclic subquotients of H. By Artin's induction theorem,
+kR_Q(H x K) is spanned by the images of the bisets [H x K / L] with L
+cyclic, and Bouc's factorization sends each through q(L) = p_K(L)/k_K(L):
+a quotient of the cyclic p_K(L), isomorphic to p_H(L)/k_H(L), so a cyclic
+subquotient of H of order at most |K|. Linearization RB -> kR_Q is a
+morphism of Green biset functors, so that factorization holds in kR_Q. For
+crc, C1 alone suffices: every chi x psi in R_C(H x H) composes through it.
 
 Backends: rb (double Burnside), rq (rational representations in the Artin
 basis), crc (complex representations by irreducible characters), rbc (the
@@ -59,6 +48,7 @@ from .characters import (
     rq_class_index_map,
     rq_cyclic_basis,
 )
+from . import dress
 from .dress import TripleSubgroup, dress_compose_members, dress_oracle
 from .errors import (AuditFailed, NotDivisor, OracleInconsistent, OrderBound,
                      PreconditionViolated)
@@ -71,7 +61,6 @@ from .groups import (
     conjugacy_classes,
     make_group,
     product_group,
-    section_classes,
     subgroup_classes,
 )
 from .linalg import RowSpace
@@ -107,11 +96,6 @@ class CRCBackend:
         tm = CharacterVector(product_group(h, g), tuple(beta))
         tn = CharacterVector(product_group(g, k), tuple(alpha))
         return list(compose_characters(tm, tn, h, g, k).values)
-
-    def identity(self, g) -> list[Fraction]:
-        p = product_group(g, g)
-        diag = tuple(sorted(p.encode((a, a)) for a in range(g.order)))
-        return list(perm_character_members(p, diag).values)
 
     def class_keys(self, p) -> tuple[int, ...]:
         return class_index_map(p)
@@ -150,7 +134,10 @@ class RQBackend(CRCBackend):
     name = "rq"
 
     def middle_groups(self, h) -> list[FiniteGroup]:
-        return subquotients_below(h, h.order)
+        """The cyclic subquotients of H of order below |H|, one per
+        isomorphism type (the module docstring has the proof)."""
+        return [k for k in dress.middle_groups(h, make_group("cyclic", 1), h.order)
+                if any(k.element_order(x) == k.order for x in range(k.order))]
 
     def class_keys(self, p) -> tuple[int, ...]:
         return rq_class_index_map(p)  # rational classes span the Artin basis
@@ -174,12 +161,7 @@ class RBCBackend:
         self.c = c
 
     def middle_groups(self, h) -> list[FiniteGroup]:
-        """The groups K the ideal of A(H x H) composes through: the
-        subquotients of H x C of order below |H|, one per isomorphism type
-        (the module docstring has the proof). At C = C1 they are read from
-        the section classes of H itself, which its Goursat lattice fills."""
-        return subquotients_below(product_group(h, self.c) if self.c.order > 1 else h,
-                                  h.order)
+        return dress.middle_groups(h, self.c, h.order)
 
     def _index(self, h, g) -> dict[tuple[int, ...], int]:
         """Class rep -> basis index, memoized per table of the product group."""
@@ -211,19 +193,7 @@ class RBCBackend:
         return {index[rep]: v for rep, v in prod.coeffs.items()} == row
 
     def factor_classes(self, h, k):
-        """The classes whose Goursat quotient on the K side is K itself:
-        E <= H x K x C with p_K(E) = K and k_K(E) = 1, and D <= K x H x C
-        with p_K(D) = K and k_K(D) = 1. A pair with a smaller quotient
-        factors through a smaller subquotient of H x C, whose own rows are
-        already in the ideal."""
-        ho, ko, co = h.order, k.order, self.c.order  # (x, y, z) is (x*|Y| + y)*|C| + z
-        lefts = [rep for rep in self._index(h, k)
-                 if len({x // co % ko for x in rep}) == ko
-                 and sum(x < ko * co and x % co == 0 for x in rep) == 1]
-        rights = [rep for rep in self._index(k, h)
-                  if len({x // (ho * co) for x in rep}) == ko
-                  and sum(x % (ho * co) == 0 for x in rep) == 1]
-        return lefts, rights
+        return dress.factor_classes(h, k, h, self.c)
 
     def ideal_rows(self, h, k):
         """((lrep, mrep), product of those basis classes as {basis index: int})."""
@@ -249,12 +219,6 @@ class RBBackend(RBCBackend):
     # rb items to reach that function.
     def compose_pair(self, h, g, k, lrep, mrep) -> dict[tuple[int, ...], Fraction]:
         return compose_transitive(h, g, k, lrep, mrep).coeffs
-
-
-def subquotients_below(g: FiniteGroup, bound: int) -> list[FiniteGroup]:
-    """One group per isomorphism type of the subquotients of G of order below
-    ``bound``, by order and then section order."""
-    return [k for n in range(1, bound) for k in section_classes(g, n)[0]]
 
 
 def get_backend(name: str, c: Optional[FiniteGroup] = None):

@@ -624,6 +624,12 @@ def section_classes(g: FiniteGroup, index: int) -> tuple[list[FiniteGroup], dict
     return got
 
 
+def subquotients_below(g: FiniteGroup, bound: int) -> list[FiniteGroup]:
+    """One group per isomorphism type of the subquotients of G of order below
+    ``bound``, by order and then section order."""
+    return [k for n in range(1, bound) for k in section_classes(g, n)[0]]
+
+
 def _goursat_subgroups(a: FiniteGroup, b: FiniteGroup,
                        sec_a: Optional[dict] = None) -> list[tuple[int, ...]]:
     """Member tuples of the subgroups of A x B, (x, y) encoded as x*|B| + y,

@@ -52,6 +52,22 @@ def test_ahat_rbc_beyond_lattice_bound(capsys):
     assert "catalog" not in err
 
 
+def test_ahat_rbc_requires_c(capsys):
+    code, out, err = run(capsys, "ahat", "--backend", "rbc", "--group", "C2")
+    assert code == 2
+    assert out == ""
+    assert err == "usage error: --backend rbc requires --c\n"
+
+
+@pytest.mark.parametrize("backend", ["rb", "rq", "crc"])
+def test_ahat_c_only_for_rbc(capsys, backend):
+    # --c used to be ignored without a word outside rbc
+    code, out, err = run(capsys, "ahat", "--backend", backend, "--group", "C2", "--c", "C3")
+    assert code == 2
+    assert out == ""
+    assert err == f"usage error: --c applies only to --backend rbc, not {backend}\n"
+
+
 def test_ahat_json_deterministic(capsys):
     code1, out1, _ = run(capsys, "--json", "ahat", "--backend", "rb",
                          "--group", "C3")

@@ -8,10 +8,10 @@ from pathlib import Path
 import pytest
 
 import bisetkit
+from bisetkit.catalog import groups_of_order
 from bisetkit.cli import resolve_group
 from bisetkit.dress import (
     DressElement,
-    _side_classes,
     admissible_kernel_check,
     counterexample_check,
     d_theta_zeta,
@@ -22,7 +22,6 @@ from bisetkit.dress import (
     is_star_decomposable,
     no_bridge_check,
     star_triple,
-    subgroups_with_full_first,
     triple_classes,
     triple_subgroup,
     trivial_hom,
@@ -37,11 +36,10 @@ from bisetkit.groups import (
     GroupHom,
     _enumerate_subgroups,
     automorphisms,
-    canonical_subgroup_rep,
     identity_hom,
     make_group,
     product_group,
-    subgroups,
+    subgroup_classes,
 )
 
 C1 = make_group("cyclic", 1)
@@ -231,17 +229,6 @@ def test_p3_trivial_forces_trivial_kernel():
     assert p3_injective_subgroups(d) == [(0,)]
 
 
-def test_subgroups_with_full_first_matches_bruteforce():
-    s3, d8 = make_group("symmetric3"), make_group("dihedral", 8)
-    for x, y in [(C2, C4), (C3, V4), (C4, C2), (s3, s3), (d8, V4)]:
-        p = product_group(x, y)
-        expect = sorted(
-            s.members for s in subgroups(p)
-            if {p.decode(m)[0] for m in s.members} == set(range(x.order)))
-        got = sorted(subgroups_with_full_first(x, y))
-        assert got == expect
-
-
 def test_decomposable_witness_soundness():
     # the full subgroup of C2 x C2 x C2 factors through the trivial group
     d = _full_triple(C2, C2, C2)
@@ -273,15 +260,68 @@ def test_decomposability_needs_full_projections():
         is_star_decomposable(d, order_bound=1)
 
 
-@pytest.mark.parametrize("x,k,c", [
-    (make_group("symmetric3"), C2, C2), (V4, C2, C2), (C4, C3, C1)])
-def test_side_classes_match_cyclic_extension(x, k, c):
-    # the oracle lattice comes from cyclic extension, not from Goursat data
-    for pos, factors in ((0, (x, k, c)), (1, (k, x, c))):
-        p = product_group(*factors)
-        want = sorted({canonical_subgroup_rep(p, m) for m in _enumerate_subgroups(p)
-                       if len({p.decode(t)[pos] for t in m}) == x.order})
-        assert _side_classes(x, k, c, pos) == want, (pos, p.label)
+def _composes_to(d, witness):
+    """Whether D is a summand of the witness's A composed with its B."""
+    got = dress_compose_members(d.g, witness["k"], d.k, d.c,
+                                witness["a_members"], witness["b_members"])
+    return d.canonical_rep() in got
+
+
+@pytest.mark.parametrize("name", ["D16", "C16"])
+def test_star_decomposable_beyond_catalog(name):
+    # the middle groups are subquotients of G x C, so no catalog bounds them
+    g = resolve_group(name)
+    d = d_theta_zeta(g, C1, identity_hom(g), trivial_hom(C1, g))
+    witness = is_star_decomposable(d, order_bound=16)
+    assert witness is not None and witness["k"].order == 16
+    assert _composes_to(d, witness)
+    assert is_star_decomposable(d, order_bound=15) is None
+
+
+def _catalog_star_search(d, order_bound):
+    """The search through every catalog group of order up to the bound, with
+    every class of G x K x C onto G and of K x H x C onto H."""
+    g, h, c = d.g, d.k, d.c
+    d_canon = d.canonical_rep()
+    for n in range(1, order_bound + 1):
+        for k in groups_of_order(n):
+            sides = []
+            for factors, pos, x in (((g, k, c), 0, g), ((k, h, c), 1, h)):
+                p = product_group(*factors)
+                sides.append([m for m in (cls.representative.members
+                                          for cls in subgroup_classes(p))
+                              if len({p.decode(t)[pos] for t in m}) == x.order])
+            for a in sides[0]:
+                for b in sides[1]:
+                    if d_canon in dress_compose_members(g, k, h, c, a, b):
+                        return k
+    return None
+
+
+# (G, H, C, bound, number of classes D <= G x H x C with p1(D) = G and
+# p2(D) = H). The bound is max(min(|G|, |H|) - 1, 1), 390 classes in all,
+# except in the last case: at bound |G| = 4 some D need C4, the second of
+# the two subquotients of order 4 of C4 x C2.
+_ORACLE_CASES = [
+    ("C2", "V4", "C4", 1, 44), ("C4", "C4", "C4", 3, 48), ("C3", "V4", "V4", 2, 29),
+    ("S3", "S3", "C2", 5, 11), ("C4", "V4", "C4", 3, 64), ("V4", "C2", "V4", 1, 176),
+    ("C3", "C3", "C3", 2, 18), ("C4", "C4", "C2", 4, 16)]
+
+
+@pytest.mark.parametrize("names,bound,count", [(t[:3], t[3], t[4]) for t in _ORACLE_CASES],
+                         ids=["-".join(t[:3]) + f"-{t[3]}" for t in _ORACLE_CASES])
+def test_star_decomposable_matches_catalog_search(names, bound, count):
+    g, h, c = (resolve_group(n) for n in names)
+    checked = 0
+    for d in triple_classes(g, h, c):
+        if len(d.proj(0)) != g.order or len(d.proj(1)) != h.order:
+            continue
+        witness = is_star_decomposable(d, order_bound=bound)
+        expect = _catalog_star_search(d, bound)
+        assert (witness is None) == (expect is None), d.members
+        assert witness is None or _composes_to(d, witness)
+        checked += 1
+    assert checked == count
 
 
 @pytest.mark.parametrize("names", [

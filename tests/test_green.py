@@ -10,6 +10,7 @@ import pytest
 import bisetkit
 from bisetkit.bisets import compose_bisets
 from bisetkit.catalog import group_by_name, groups_of_order
+from bisetkit.characters import perm_character_members
 from bisetkit.dress import DressElement, TripleSubgroup, dress_identity, dress_oracle
 from bisetkit.errors import NotDivisor, OrderBound
 from bisetkit.green import (
@@ -259,8 +260,10 @@ class _OracleCatalogRB(_CatalogRB):
                             TripleSubgroup(g, k, self.c, mrep)).coeffs
 
 
-_SUBQUOTIENT_CASES = [(b, h) for b in ("rb", "rq", "crc") for n in range(1, 9)
-                      for h in groups_of_order(n)]
+# rq runs to order 12, where its cyclic rule also drops V4 from D12, A4 and
+# C6xC2, and S3 from D12 and Dic3
+_SUBQUOTIENT_CASES = [(b, h) for b, top in (("rb", 8), ("rq", 12), ("crc", 8))
+                      for n in range(1, top + 1) for h in groups_of_order(n)]
 
 
 @pytest.mark.parametrize("name,h", _SUBQUOTIENT_CASES,
@@ -273,6 +276,15 @@ def test_subquotient_ideal_equals_catalog_ideal(name, h):
     assert sub.rank == cat.rank
     assert all(cat.contains(row) for row in sub.pivots.values())
     assert all(sub.contains(row) for row in cat.pivots.values())
+
+
+def test_rq_middle_groups_are_the_cyclic_subquotients():
+    # exp(S3) = 6 = |S3|, so the rule must look for an element of order |K|
+    d12 = group_by_name("D12")
+    assert [k.order for k in RBBackend().middle_groups(d12)] == [1, 2, 3, 4, 6, 6]
+    rq = RQBackend().middle_groups(d12)
+    assert [k.order for k in rq] == [1, 2, 3, 6]
+    assert all(k.is_abelian for k in rq)
 
 
 # |Out(H)|, frozen from groups.automorphisms
@@ -375,8 +387,10 @@ def test_rbc_backend_quotient_contains_twisted_diagonals():
 def test_backend_identity_laws():
     c2 = make_group("cyclic", 2)
     c3 = make_group("cyclic", 3)
+    p = product_group(c2, c2)
+    diag = tuple(sorted(p.encode((a, a)) for a in range(c2.order)))
+    iden = list(perm_character_members(p, diag).values)  # the class of Delta(C2)
     for backend in (RQBackend(), CRCBackend()):
-        iden = backend.identity(c2)
         for i in range(len(backend.basis_labels(c2, c3))):
             v = backend.basis_vector(c2, c3, i)
             assert backend.compose(c2, c2, c3, iden, v) == v

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from .cyclotomic import Cyc, hermitian_gram, sort_key
@@ -285,11 +286,17 @@ def compose_characters(tau_m: CharacterVector, tau_n: CharacterVector,
 # Character tables
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _roots_of_unity(e: int) -> tuple:
+    """zeta_e^j for j = 0 .. e - 1."""
+    return tuple(Cyc.root_of_unity(e, j) for j in range(e))
+
+
 def _abelian_linear_characters(g: FiniteGroup) -> list[CharacterVector]:
     """All |G| linear characters of an abelian group: the homomorphisms
     G -> C_e with e = exp G, element j of C_e read as zeta_e^j."""
     e = g.exponent
-    roots = [Cyc.root_of_unity(e, j) for j in range(e)]
+    roots = _roots_of_unity(e)
     classes = conjugacy_classes(g)
     found = [CharacterVector(g, tuple(roots[hom(cls[0])] for cls in classes))
              for hom in all_homs(g, make_group("cyclic", e))]
@@ -298,18 +305,18 @@ def _abelian_linear_characters(g: FiniteGroup) -> list[CharacterVector]:
     return found
 
 
-def linear_characters(g: FiniteGroup) -> list[CharacterVector]:
+def linear_characters(g: FiniteGroup) -> tuple[CharacterVector, ...]:
     """Linear characters of any group, lifted from G/[G,G]."""
-    if g.is_abelian:
-        return _abelian_linear_characters(g)
-    der = derived_subgroup(g)
-    q, proj = quotient_group(g, subgroup(g, der, check=False))
-    out = []
-    for chi in _abelian_linear_characters(q):
-        vals = tuple(chi.value_at_element(proj(cls[0]))
-                     for cls in conjugacy_classes(g))
-        out.append(CharacterVector(g, vals))
-    return out
+    def build() -> tuple[CharacterVector, ...]:
+        if g.is_abelian:
+            return tuple(_abelian_linear_characters(g))
+        der = derived_subgroup(g)
+        q, proj = quotient_group(g, subgroup(g, der, check=False))
+        classes = conjugacy_classes(g)
+        return tuple(CharacterVector(g, tuple(chi.value_at_element(proj(cls[0]))
+                                              for cls in classes))
+                     for chi in _abelian_linear_characters(q))
+    return _memo(g, "linear_characters", build, bound=True)
 
 
 def induced_character(g: FiniteGroup, s: Subgroup, lam: CharacterVector) -> CharacterVector:
@@ -401,7 +408,7 @@ def _tensor_products(g: FiniteGroup) -> list[CharacterVector]:
 def _peeled(g: FiniteGroup, r: int) -> list[CharacterVector]:
     """The linear characters, then the irreducibles peeled off inductions of
     linear characters, largest subgroups first, until there are r."""
-    irreducibles = linear_characters(g)
+    irreducibles = list(linear_characters(g))
     if len(irreducibles) == r:
         return irreducibles
     # stable: within one order, subgroup classes keep their order

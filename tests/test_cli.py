@@ -283,6 +283,10 @@ GOLDEN_JSON = [
      '{"g": "S3", "k": "D10", "match": true, "product_rank": 12, "target_dim": 12}'),
     (("crc-check", "C5", "C3"),
      '{"g": "C5", "k": "C3", "match": true, "product_rank": 15, "target_dim": 15}'),
+    (("crc-check", "C13", "C5"),
+     '{"g": "C13", "k": "C5", "match": true, "product_rank": 65, "target_dim": 65}'),
+    (("crc-check", "D16", "C16"),
+     '{"g": "D16", "k": "C16", "match": true, "product_rank": 112, "target_dim": 112}'),
     (("ahat", "--backend", "crc", "--group", "C4"),
      '{"ambient": 16, "backend": "crc", "basis": [], "group": "C4", "ideal": 16, '
      '"quotient": 0}'),
@@ -332,7 +336,8 @@ GOLDEN_JSON = [
 
 @pytest.mark.parametrize("argv, expected", GOLDEN_JSON,
                          ids=["bouc-S3-C2", "bouc-Q8-S3", "ahat-rq-C5", "ahat-crc-C3", "crc-check-S3-D10",
-                              "crc-check-C5-C3", "ahat-crc-C4", "ahat-rb-S3", "ahat-rb-D8",
+                              "crc-check-C5-C3", "crc-check-C13-C5", "crc-check-D16-C16",
+                              "ahat-crc-C4", "ahat-rb-S3", "ahat-rb-D8",
                               "ahat-rbc-S3-C2", "ahat-rbc-C3-C3",
                               "lin-kernel-A4", "lin-kernel-C2xC2xC2",
                               "lin-kernel-D12"])
@@ -387,6 +392,7 @@ BAD_INPUT = [
     ("bouc", "S3", "C2", "0,-1"),
     ("--order-bound", "4", "ahat", "--backend", "rb", "--group", "S3"),
     ("no-bridge", "C4", "V4", "C9999"),
+    ("crc-check", "C17", "C16"),
 ]
 
 
@@ -394,7 +400,7 @@ BAD_INPUT = [
                          ids=["dress-compose-short-generator", "bouc-component-range",
                               "bouc-not-integer", "bouc-index-range",
                               "bouc-negative-component", "order-bound-ahat",
-                              "order-bound-before-table"])
+                              "order-bound-before-table", "crc-check-order-bound"])
 def test_bad_input_is_one_error_line(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1

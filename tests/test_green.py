@@ -9,8 +9,8 @@ import pytest
 
 import bisetkit
 from bisetkit.bisets import compose_bisets
-from bisetkit.catalog import group_by_name, groups_of_order
-from bisetkit.characters import perm_character_members
+from bisetkit.catalog import CATALOG_MAX_ORDER, group_by_name, groups_of_order, groups_up_to
+from bisetkit.characters import character_table, perm_character_members
 from bisetkit.dress import DressElement, TripleSubgroup, dress_identity, dress_oracle
 from bisetkit.errors import NotDivisor, OrderBound
 from bisetkit.green import (
@@ -31,7 +31,7 @@ from bisetkit.green import (
     units_mod,
     xn_ideal_dim,
 )
-from bisetkit.groups import make_group, product_group
+from bisetkit.groups import class_index_map, conjugacy_classes, make_group, product_group
 from bisetkit.linalg import RowSpace
 
 
@@ -351,6 +351,32 @@ def test_crc_product_span_examples():
     assert (rep["product_rank"], rep["target_dim"]) == (4, 4)
     rep = crc_product_span(s3, c2)
     assert (rep["product_rank"], rep["target_dim"]) == (6, 6)
+    with pytest.raises(OrderBound, match=r"^\|C17xC16\| = 272 exceeds bound 256$"):
+        crc_product_span(make_group("cyclic", 17), make_group("cyclic", 16))
+
+
+def _product_row_rank(g, k):
+    """Rank of every product row chi x psi over the classes of G x K, by
+    eliminating the whole |Irr G| |Irr K| by k(G x K) matrix."""
+    p = product_group(g, k)
+    cg, ck = class_index_map(g), class_index_map(k)
+    cols = [(cg[a], ck[b]) for a, b in (p.decode(cls[0]) for cls in conjugacy_classes(p))]
+    space = RowSpace(len(cols))
+    for chi in character_table(g):
+        for psi in character_table(k):
+            space.add([chi.values[i] * psi.values[j] for i, j in cols])
+    return space.rank
+
+
+def test_crc_product_rank_equals_product_row_rank():
+    # every criterion-6 pair: the rank read off the factor tables is the rank
+    # of the product rows themselves
+    groups = groups_up_to(CATALOG_MAX_ORDER)
+    pairs = [(g, k) for g in groups for k in groups if g.order * k.order <= 36]
+    assert len(pairs) == 210
+    for g, k in pairs:
+        rep = crc_product_span(g, k)
+        assert rep["product_rank"] == _product_row_rank(g, k) == rep["target_dim"], (g, k)
 
 
 def test_crc_backend_ahat_trivial_group():
@@ -440,6 +466,33 @@ def test_rbc_backend_without_c_survives_optimize(tmp_path):
         except BisetkitError:
             raise SystemExit(0)
         raise SystemExit("no BisetkitError under -O")
+    """)
+    _run_optimized(code, tmp_path)
+
+
+def test_crc_class_check_survives_optimize(tmp_path):
+    # a product whose class list merges two classes has fewer classes than
+    # pairs of factor classes; the product rows would still have full rank
+    # over the merged columns, so only the class check can catch it
+    code = textwrap.dedent("""
+        import bisetkit.green as green
+        from bisetkit.errors import AuditFailed
+        from bisetkit.groups import make_group
+
+        real = green.conjugacy_classes
+
+        def merged(g):
+            classes = real(g)
+            if not g.factors:
+                return classes
+            return [tuple(sorted(classes[0] + classes[1])), *classes[2:]]
+
+        green.conjugacy_classes = merged
+        try:
+            green.crc_product_span(make_group("cyclic", 2), make_group("cyclic", 2))
+        except AuditFailed:
+            raise SystemExit(0)
+        raise SystemExit("no AuditFailed under -O")
     """)
     _run_optimized(code, tmp_path)
 

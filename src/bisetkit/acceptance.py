@@ -8,6 +8,7 @@ tolerances anywhere.
 
 from __future__ import annotations
 
+import itertools
 import sys
 import time
 from fractions import Fraction
@@ -31,16 +32,20 @@ from .characters import (
 )
 from .dress import (
     DressElement,
+    TripleSubgroup,
     counterexample_check,
     d_theta_zeta,
     dress_compose_members,
     dress_oracle,
+    factor_classes,
     is_star_decomposable,
     no_bridge_check,
     triple_classes,
     trivial_hom,
 )
 from .green import (
+    RBBackend,
+    _ideal_rowspace,
     check_out_iso,
     crc_product_span,
     ell_kernel_dim_from_span,
@@ -107,15 +112,48 @@ def criterion_2_bouc_roundtrip() -> dict:
     return {"passed": True, "checked": checked}
 
 
+class AllFactorPairs:
+    """Mixin for an rb or rbc backend: no unit rows, and the full product of
+    every pair from factor_classes through each middle group. This is the
+    all-pairs route that the graph-form rows of the backend replace."""
+
+    def unit_rows(self, h) -> tuple:
+        return ()
+
+    def factor_classes(self, h, k):
+        return factor_classes(h, k, h, self.c)
+
+    def ideal_rows(self, h, k):
+        lefts, rights = self.factor_classes(h, k)
+        for pair in itertools.product(lefts, rights):
+            yield pair, self._product_row(h, k, *pair)
+
+
+class OracleRB(AllFactorPairs, RBBackend):
+    """The rb ideal by the all-pairs route, every product from the orbit oracle."""
+
+    def compose_pair(self, h, g, k, lrep, mrep):
+        return dress_oracle(TripleSubgroup(h, g, self.c, lrep),
+                            TripleSubgroup(g, k, self.c, mrep)).coeffs
+
+
 def criterion_3_rb_out() -> dict:
-    """rb quotient dimension equals |Out(H)| with twisted-diagonal basis."""
+    """rb quotient dimension equals |Out(H)| with twisted-diagonal basis. The
+    rb ideal must also equal the span of the orbit-oracle products of every
+    factor-class pair, so the check does not rest on the graph-form rule
+    that reads most of the ideal off the classes."""
     rows = []
     ok = True
     for name in ("C1", "C2", "C3", "C4", "V4", "C5", "S3"):
-        rep = check_out_iso(_group(name))
+        h = _group(name)
+        rep = check_out_iso(h)
+        ideal, oracle = _ideal_rowspace(RBBackend(), h), _ideal_rowspace(OracleRB(), h)
+        same = (ideal.rank == oracle.rank
+                and all(ideal.contains(row) for row in oracle.pivots.values()))
         rows.append({"group": name, "quotient_dim": rep["quotient_dim"],
-                     "out_order": rep["out_order"], "match": rep["match"]})
-        ok = ok and rep["match"]
+                     "out_order": rep["out_order"], "match": rep["match"],
+                     "oracle_span": same})
+        ok = ok and rep["match"] and same
     return {"passed": ok, "rows": rows}
 
 

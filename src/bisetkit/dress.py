@@ -16,10 +16,11 @@ DressElement, both with c = C1. dress_compose_members and dress_oracle at C1
 are the Mackey formula and the orbit oracle behind bisets.compose_transitive
 and bisets.compose_oracle, and bilinear_compose extends both products.
 
-The module also hosts the factorization machinery: the middle groups and
-factor classes that Bouc's factorization allows (read by the rb/rbc ideals
-too), the decomposability search with its kernel-shape pruning, the
-quaternion/dihedral counterexample for |C| = 4 and the bridge scan.
+The module also hosts the factorization machinery: the middle groups,
+factor classes and graph-form classes that Bouc's factorization allows (read
+by the rb/rbc ideals too), the decomposability search with its kernel-shape
+pruning, the quaternion/dihedral counterexample for |C| = 4 and the bridge
+scan.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .groups import (
     FiniteGroup,
     GroupHom,
     _goursat_subgroups,
+    _memo,
     canonical_subgroup_rep,
     center,
     closure,
@@ -435,6 +437,27 @@ def trivial_hom(c: FiniteGroup, g: FiniteGroup) -> GroupHom:
 # the right, with K'' = p_K(D)/k_K(D) for b = [K x Y x C / D]. By induction
 # on |K|, every product through a group of order below the bound lies in the
 # products through middle_groups of the pairs from factor_classes.
+#
+# The rb/rbc ideal of H is read off the same factorization. Call E <= H x H x C
+# in graph form when p_H(E) = H and k_H(E) = 1 on both H sides, with k_1(E) =
+# {h : (h, 1, 1) in E} and k_2(E) = {h : (1, h, 1) in E}.
+# (a) A class not in graph form lies in the ideal: on a side where p_H(E) < H
+#     or k_H(E) > 1, q(E) = p_H(E)/k_H(E) has order below |H|, and the
+#     factorization above, read on that side, writes [E] as a product through
+#     q(E).
+# (b) Every term of the product of E <= H x K x C and D <= K x H x C is a class
+#     E * D', D' the conjugate of D by some (l0, 1, c0). p_1(E * D') <= p_1(E),
+#     and k_1(E * D') >= k_1(E) because (1, 1, 1) lies in D'. Conjugating by
+#     (l0, 1, c0) fixes p_H(D) and k_H(D), so p_2(E * D') <= p_2(D) and
+#     k_2(E * D') >= k_2(D). So a term is in graph form only if E is in graph
+#     form on its H side and D on its H side; every other product is a sum of
+#     classes from (a).
+# So the ideal is spanned by the classes not in graph form, and by the products
+# of the factor_classes pairs in graph form on both H sides (graph_form_classes
+# of H x K x C and K x H x C) restricted to the graph-form columns. At C = C1
+# no such pair exists through |K| < |H|: E <= H x K with full projections and
+# trivial kernels on both sides is, by Goursat, the graph of an isomorphism
+# H -> K. So the rb ideal is spanned by the classes not in graph form.
 
 def middle_groups(x: FiniteGroup, c: FiniteGroup, bound: int) -> list[FiniteGroup]:
     """The subquotients of X x C of order below ``bound``, one per
@@ -449,16 +472,36 @@ def factor_classes(g: FiniteGroup, k: FiniteGroup, h: FiniteGroup,
     E <= G x K x C with p_K(E) = K and k_K(E) = 1, and D <= K x H x C with
     p_K(D) = K and k_K(D) = 1, in subgroup_classes order. A pair with a
     smaller quotient composes through a smaller subquotient."""
-    ho, ko, co = h.order, k.order, c.order  # (x, y, z) is (x*|Y| + y)*|C| + z
-    lefts = [rep for rep in (cls.representative.members
-                             for cls in subgroup_classes(product_group(g, k, c)))
-             if len({x // co % ko for x in rep}) == ko
-             and sum(x < ko * co and x % co == 0 for x in rep) == 1]
-    rights = [rep for rep in (cls.representative.members
-                              for cls in subgroup_classes(product_group(k, h, c)))
-              if len({x // (ho * co) for x in rep}) == ko
-              and sum(x % (ho * co) == 0 for x in rep) == 1]
+    lefts = [rep for rep in _class_reps(g, k, c) if _y_graph(rep, k.order, c.order)]
+    rights = [rep for rep in _class_reps(k, h, c) if _x_graph(rep, k.order, h.order, c.order)]
     return lefts, rights
+
+
+def graph_form_classes(x: FiniteGroup, y: FiniteGroup,
+                       c: FiniteGroup) -> tuple[tuple[int, ...], ...]:
+    """The class reps E <= X x Y x C in graph form: p_X(E) = X, k_X(E) = 1,
+    p_Y(E) = Y and k_Y(E) = 1, in subgroup_classes order."""
+    return _memo(product_group(x, y, c), "graph_form_classes", lambda: tuple(
+        rep for rep in _class_reps(x, y, c)
+        if _x_graph(rep, x.order, y.order, c.order) and _y_graph(rep, y.order, c.order)),
+        bound=True)  # equal tables can split into different factors
+
+
+def _class_reps(x: FiniteGroup, y: FiniteGroup, c: FiniteGroup):
+    return (cls.representative.members for cls in subgroup_classes(product_group(x, y, c)))
+
+
+# Goursat tests on the member integers of E <= X x Y x C, where (x, y, z) is
+# (x*|Y| + y)*|C| + z: p_X(E) = X and k_X(E) = {x : (x, 1, 1) in E} = 1, and
+# p_Y(E) = Y and k_Y(E) = {y : (1, y, 1) in E} = 1.
+def _x_graph(members: Sequence[int], xo: int, yo: int, co: int) -> bool:
+    yc = yo * co
+    return len({m // yc for m in members}) == xo and sum(m % yc == 0 for m in members) == 1
+
+
+def _y_graph(members: Sequence[int], yo: int, co: int) -> bool:
+    return (len({m // co % yo for m in members}) == yo
+            and sum(m < yo * co and m % co == 0 for m in members) == 1)
 
 
 # ---------------------------------------------------------------------------
@@ -466,9 +509,8 @@ def factor_classes(g: FiniteGroup, k: FiniteGroup, h: FiniteGroup,
 # ---------------------------------------------------------------------------
 
 def _graph_form(d: TripleSubgroup) -> bool:
-    return (d.proj(0) == tuple(range(d.g.order))
-            and d.proj(1) == tuple(range(d.k.order))
-            and d.kern(0) == (0,) and d.kern(1) == (0,))
+    return (_x_graph(d.members, d.g.order, d.k.order, d.c.order)
+            and _y_graph(d.members, d.k.order, d.c.order))
 
 
 def p3_injective_subgroups(d: TripleSubgroup) -> list[tuple[int, ...]]:
@@ -664,12 +706,9 @@ def no_bridge_check(g: FiniteGroup, h: FiniteGroup, c: FiniteGroup) -> dict:
     scanned = sum(1 for s in subgroups(p_hc) if s.order % g.order == 0
                   and len({p_hc.decode(m)[0] for m in s.members}) == h.order)
     # an index of G x (H x C) is already the index of G x H x C
-    bridges = []
-    for members in _goursat_subgroups(g, p_hc, {g.order: [(tuple(range(g.order)), (0,))]}):
-        d = TripleSubgroup(g, h, c, members)
-        if len(d.proj(1)) == h.order and d.kern(1) == (0,):
-            bridges.append(members)
-    bridges.sort()
+    bridges = sorted(members for members in _goursat_subgroups(
+        g, p_hc, {g.order: [(tuple(range(g.order)), (0,))]})
+        if _y_graph(members, h.order, c.order))
     report = {
         "groups": {"G": g.label, "H": h.label, "C": c.label},
         "c_prime": c_prime,

@@ -2,18 +2,23 @@
 
 A backend presents each hom-space A(H x G) by a finite ordered basis. The
 ideal of morphisms factoring through strictly smaller groups is spanned by
-products of spanning elements through the backend's middle groups, which each
-backend yields as sparse integer rows over its columns of A(H x H): the
+the basis elements known to factor (unit rows, rb and rbc only) and by
+products of spanning elements through the backend's middle groups, which
+each backend yields as sparse integer rows over its columns of A(H x H): the
 conjugacy classes of H x H for rq and crc, the subgroup classes of H x H x C
 for rb and rbc. Exact ranks give the quotient. The first row through each
 middle group is checked against the same product computed another way: the
 orbit oracle for rb and rbc, the composition of class functions for rq and
 crc.
 
-For rbc, A(H x K) = RB(H x K x C), and rb is rbc at C = C1. The middle
-groups are dress.middle_groups, the subquotients of H x C of order below
-|H|, and only the pairs from dress.factor_classes are composed; the proof,
-by Bouc's Goursat factorization, sits next to those two functions.
+For rbc, A(H x K) = RB(H x K x C), and rb is rbc at C = C1. By Bouc's
+Goursat factorization, every class of H x H x C not in graph form (full
+projections and trivial kernels on both H sides) is a unit row, and the
+rest of the ideal is spanned by the products of the dress.factor_classes
+pairs in graph form on both H sides, restricted to the graph-form columns,
+through dress.middle_groups, the subquotients of H x C of order below |H|.
+The proofs sit next to those functions. At C = C1 there is no such pair, so
+rb composes only the checked first pair through each middle group.
 
 rq keeps only the cyclic subquotients of H. By Artin's induction theorem,
 kR_Q(H x K) is spanned by the images of the bisets [H x K / L] with L
@@ -99,6 +104,9 @@ class CRCBackend:
 
     def class_keys(self, p) -> tuple[int, ...]:
         return class_index_map(p)
+
+    def unit_rows(self, h) -> tuple:
+        return ()
 
     def ideal_rows(self, h, k):
         """((a, b), row) pairs: row = |K| times the composite of the indicators
@@ -192,17 +200,28 @@ class RBCBackend:
         index = self._index(h, h)
         return {index[rep]: v for rep, v in prod.coeffs.items()} == row
 
-    def factor_classes(self, h, k):
-        return dress.factor_classes(h, k, h, self.c)
+    def unit_rows(self, h) -> list[int]:
+        """The classes of H x H x C not in graph form, each in the ideal by
+        fact (a) next to dress.factor_classes."""
+        graph = set(dress.graph_form_classes(h, h, self.c))
+        return [i for rep, i in self._index(h, h).items() if rep not in graph]
 
     def ideal_rows(self, h, k):
-        """((lrep, mrep), product of those basis classes as {basis index: int})."""
+        """((lrep, mrep), product of those basis classes as {basis index: int}):
+        the first pair of dress.factor_classes in full, then, by fact (b), only
+        the pairs in graph form on both H sides, restricted to the graph-form
+        columns; at C = C1 there are none."""
         index = self._index(h, h)
-        lefts, rights = self.factor_classes(h, k)
-        for lrep in lefts:
-            for mrep in rights:
-                yield (lrep, mrep), {index[rep]: int(v) for rep, v
-                                     in self.compose_pair(h, k, h, lrep, mrep).items()}
+        lefts, rights = dress.factor_classes(h, k, h, self.c)
+        yield (lefts[0], rights[0]), self._product_row(h, k, lefts[0], rights[0])
+        graph = {index[rep] for rep in dress.graph_form_classes(h, h, self.c)}
+        for pair in itertools.product(dress.graph_form_classes(h, k, self.c),
+                                      dress.graph_form_classes(k, h, self.c)):
+            yield pair, {i: v for i, v in self._product_row(h, k, *pair).items() if i in graph}
+
+    def _product_row(self, h, k, lrep, mrep) -> dict[int, int]:
+        index = self._index(h, h)
+        return {index[rep]: int(v) for rep, v in self.compose_pair(h, k, h, lrep, mrep).items()}
 
 
 class RBBackend(RBCBackend):
@@ -261,11 +280,14 @@ class IdealReport:
 
 
 def _ideal_rowspace(backend, h: FiniteGroup) -> RowSpace:
-    """Reduced row space of the distinct generator rows through the backend's
-    middle groups. The first row through each K must equal the backend's
-    independent product of its pair: the orbit oracle for rb and rbc, the
-    composition of class functions for rq and crc."""
+    """Reduced row space of the backend's unit rows {i: 1} and of the distinct
+    generator rows through its middle groups. The first row through each K
+    must equal the backend's independent product of its pair: the orbit
+    oracle for rb and rbc, the composition of class functions for rq and
+    crc."""
     space = RowSpace(backend.row_width(h))
+    for i in backend.unit_rows(h):
+        space.add({i: 1})
     seen_rows: set = set()
     for k in backend.middle_groups(h):
         for n_row, (pair, row) in enumerate(backend.ideal_rows(h, k)):

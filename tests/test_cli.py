@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
@@ -50,6 +51,25 @@ def test_ahat_rbc_beyond_lattice_bound(capsys):
     assert err.startswith("error: ") and len(err.splitlines()) == 1
     assert "578 exceeds bound 256" in err
     assert "catalog" not in err
+
+
+# sha256 of the --json stdout of the heavier ahat runs, frozen from the route
+# that composed every factor-class pair in full through every middle group
+_AHAT_SHA256 = {
+    ("rb", "prod(C2,D8)", None): "5c80dea4248e7d3d665dc7a1b31d76e972402fdd6368460fef5bac45de00c7a1",
+    ("rbc", "C4xC2", "C2"): "92695a59fa162cfec8a67a8f99cc1198f30cbe147ffba404de88dac175eefcef",
+    ("rbc", "V4", "V4"): "4e9426e631285879de750a44122e8eb4ddea886101d8a5a33a90012a887a7c46",
+    ("rbc", "C2xC2xC2", "C2"): "9fe986bee8d6534ad2b066f1ff0b75c0bfa8734e9d87e258eee5accc48b4386e",
+}
+
+
+@pytest.mark.parametrize("backend, group, c", list(_AHAT_SHA256),
+                         ids=[f"{b}-{g}" + (f"-{c}" if c else "") for b, g, c in _AHAT_SHA256])
+def test_ahat_json_bytes_pinned(capsys, backend, group, c):
+    code, out, _ = run(capsys, "--json", "ahat", "--backend", backend, "--group", group,
+                       *(("--c", c) if c else ()))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _AHAT_SHA256[backend, group, c]
 
 
 def test_ahat_rbc_requires_c(capsys):

@@ -8,10 +8,12 @@ from pathlib import Path
 import pytest
 
 import bisetkit
+from bisetkit import dress
+from bisetkit.acceptance import AllFactorPairs, OracleRB
 from bisetkit.bisets import compose_bisets
 from bisetkit.catalog import CATALOG_MAX_ORDER, group_by_name, groups_of_order, groups_up_to
 from bisetkit.characters import character_table, perm_character_members
-from bisetkit.dress import DressElement, TripleSubgroup, dress_identity, dress_oracle
+from bisetkit.dress import DressElement, TripleSubgroup, dress_identity, is_star_decomposable
 from bisetkit.errors import NotDivisor, OrderBound
 from bisetkit.green import (
     RBBackend,
@@ -182,14 +184,23 @@ def _dense_rowspace(backend, h):
     return space
 
 
+# rbc cases whose catalog route is too slow for the suite (C4xC2 at C2: 21 s
+# on a 2-CPU host); the all-pairs route through the subquotients of H x C
+# stands in
+_ALL_PAIRS_ONLY = {("C2", "C4xC2")}
+
+
 def _slow_rowspace(backend, h):
-    """The ideal's row space through every catalog group below |H|: rb's
-    products from the orbit oracle, rbc's from the Mackey formula over every
-    pair of classes, and crc's and rq's from the dense compose."""
+    """The ideal's row space with no unit rows and every product in full:
+    through every catalog group below |H| with rb's products from the orbit
+    oracle, rbc's from the Mackey formula over every pair of classes (or over
+    every factor-class pair through the subquotients, for _ALL_PAIRS_ONLY),
+    and crc's and rq's from the dense compose."""
     if backend.name == "rb":
         return _ideal_rowspace(_OracleCatalogRB(), h)
     if backend.name == "rbc":
-        return _ideal_rowspace(_CatalogRBC(backend.c), h)
+        slow = _AllPairsRBC if (backend.c.label, h.label) in _ALL_PAIRS_ONLY else _CatalogRBC
+        return _ideal_rowspace(slow(backend.c), h)
     return _dense_rowspace(backend, h)
 
 
@@ -199,7 +210,8 @@ _EQUIVALENCE_CASES = (
     + [(RQBackend(), h) for n in range(1, 7) for h in groups_of_order(n)]
     + [(RBCBackend(c), h) for c in (_C2, _C3) for n in range(1, 7) for h in groups_of_order(n)]
     + [(RBCBackend(c), h) for c in (_C4, _V4) for n in range(1, 4) for h in groups_of_order(n)]
-    + [(RBCBackend(c), group_by_name(h)) for c, h in ((_C4, "C4"), (_C4, "C5"), (_V4, "C4"))]
+    + [(RBCBackend(c), group_by_name(h))
+       for c, h in ((_C4, "C4"), (_C4, "C5"), (_V4, "C4"), (_V4, "V4"), (_C2, "C4xC2"))]
     + [(CRCBackend(), h) for n in range(1, 7) for h in groups_of_order(n)])
 
 
@@ -226,8 +238,8 @@ def test_crc_beyond_character_table_bound():
 
 
 class _CatalogIdeal:
-    """Mixin: the ideal through every catalog group below |H|, with every
-    pair of basis classes (the rb, rq and rbc ideal before subquotients)."""
+    """Mixin: the ideal through every catalog group below |H|, and for rb and
+    rbc with every pair of basis classes (the ideal before subquotients)."""
 
     def middle_groups(self, h):
         return [k for n in range(1, h.order) for k in groups_of_order(n)]
@@ -236,7 +248,7 @@ class _CatalogIdeal:
         return list(self._index(h, k)), list(self._index(k, h))
 
 
-class _CatalogRB(_CatalogIdeal, RBBackend):
+class _CatalogRB(_CatalogIdeal, AllFactorPairs, RBBackend):
     pass
 
 
@@ -248,16 +260,16 @@ class _CatalogCRC(_CatalogIdeal, CRCBackend):
     pass
 
 
-class _CatalogRBC(_CatalogIdeal, RBCBackend):
+class _CatalogRBC(_CatalogIdeal, AllFactorPairs, RBCBackend):
     pass
 
 
-class _OracleCatalogRB(_CatalogRB):
-    """The rb catalog ideal with every product taken from the orbit oracle."""
+class _AllPairsRBC(AllFactorPairs, RBCBackend):
+    pass
 
-    def compose_pair(self, h, g, k, lrep, mrep):
-        return dress_oracle(TripleSubgroup(h, g, self.c, lrep),
-                            TripleSubgroup(g, k, self.c, mrep)).coeffs
+
+class _OracleCatalogRB(_CatalogIdeal, OracleRB):
+    """The rb catalog ideal with every product taken from the orbit oracle."""
 
 
 # rq runs to order 12, where its cyclic rule also drops V4 from D12, A4 and
@@ -276,6 +288,76 @@ def test_subquotient_ideal_equals_catalog_ideal(name, h):
     assert sub.rank == cat.rank
     assert all(cat.contains(row) for row in sub.pivots.values())
     assert all(sub.contains(row) for row in cat.pivots.values())
+
+
+def _graph_on_h_side(h, k, c, members, side):
+    """Whether E <= H x K x C (side 0) or E <= K x H x C (side 1) has full
+    projection and trivial kernel on its H side, read off decoded members."""
+    e = TripleSubgroup(h, k, c, members) if side == 0 else TripleSubgroup(k, h, c, members)
+    return e.proj(side) == tuple(range(h.order)) and e.kern(side) == (0,)
+
+
+class _Counting:
+    """Mixin: record the (K, lrep, mrep) of every compose_pair call."""
+
+    def compose_pair(self, h, g, k, lrep, mrep):
+        self.pairs.append((g, lrep, mrep))
+        return super().compose_pair(h, g, k, lrep, mrep)
+
+
+class _CountingRB(_Counting, RBBackend):
+    pass
+
+
+class _CountingRBC(_Counting, RBCBackend):
+    pass
+
+
+_COUNTING_CASES = ([(_CountingRB(), group_by_name(n)) for n in ("S3", "D8", "Q8")]
+                   + [(_CountingRBC(c), group_by_name(n))
+                      for c, n in ((_C2, "V4"), (_C2, "C4xC2"), (_C3, "C3"), (_C4, "C4"))])
+
+
+@pytest.mark.parametrize("backend,h", _COUNTING_CASES,
+                         ids=[_case_id(b, h) for b, h in _COUNTING_CASES])
+def test_ideal_composes_first_pair_and_graph_form_pairs(backend, h):
+    # per middle group K: the first factor-class pair, then only the pairs in
+    # graph form on both H sides; at C = C1 (rb) exactly one pair per K
+    backend.pairs = []
+    _ideal_rowspace(backend, h)
+    c, expected, n_all = backend.c, [], 0
+    for k in backend.middle_groups(h):
+        lefts, rights = dress.factor_classes(h, k, h, c)
+        n_all += len(lefts) * len(rights)
+        expected.append((k, lefts[0], rights[0]))
+        expected += [(k, a, b) for a in lefts if _graph_on_h_side(h, k, c, a, 0)
+                     for b in rights if _graph_on_h_side(h, k, c, b, 1)]
+    assert backend.pairs == expected
+    if backend.name == "rb":
+        assert len(backend.pairs) == len(backend.middle_groups(h))
+    else:
+        assert len(backend.middle_groups(h)) < len(backend.pairs) < n_all
+
+
+# (H, C): graph-form classes of H x H x C and how many of them
+# is_star_decomposable(d, |H| - 1) decomposes, frozen from a run of the search
+_TWO_ROUTE_CASES = {("C2", "C2"): (4, 1), ("C3", "C2"): (4, 0), ("C4", "C2"): (8, 0),
+                    ("V4", "C2"): (48, 18), ("S3", "C2"): (3, 0), ("C2", "C3"): (2, 0),
+                    ("C3", "C3"): (12, 4), ("C2", "C4"): (7, 2), ("C4", "C4"): (22, 6)}
+
+
+@pytest.mark.parametrize("name,c_name", list(_TWO_ROUTE_CASES),
+                         ids=[f"{n}@{c}" for n, c in _TWO_ROUTE_CASES])
+def test_rbc_quotient_counts_undecomposable_graph_form_classes(name, c_name):
+    # two routes to the shifted quotient: the ideal's ranks, and the
+    # decomposability search over the classes in graph form
+    h, c = group_by_name(name), group_by_name(c_name)
+    graph = [d for d in dress.triple_classes(h, h, c)
+             if _graph_on_h_side(h, h, c, d.members, 0) and _graph_on_h_side(h, h, c, d.members, 1)]
+    assert tuple(d.members for d in graph) == dress.graph_form_classes(h, h, c)
+    decomposable = [d for d in graph if is_star_decomposable(d, h.order - 1) is not None]
+    assert (len(graph), len(decomposable)) == _TWO_ROUTE_CASES[name, c_name]
+    assert ideal_span(RBCBackend(c), h).quotient_dim == len(graph) - len(decomposable)
 
 
 def test_rq_middle_groups_are_the_cyclic_subquotients():

@@ -184,25 +184,16 @@ def _primitive_count_oracle(m: int) -> int:
     units = units_mod(m)
     if m == 1:
         return 1  # trivial unit group, no proper divisors: the one character
-    pos = {u: i for i, u in enumerate(units)}
+    pos = {u: i for i, u in enumerate(units)}  # units_mod lists 1 first: the identity is 0
     table = [[pos[a * b % m] for b in units] for a in units]
-    # reorder so the identity (unit 1) is index 0
-    one = pos[1]
-    perm = [one] + [i for i in range(len(units)) if i != one]
-    inv_perm = {p: i for i, p in enumerate(perm)}
-    table2 = [[inv_perm[table[perm[i]][perm[j]]] for j in range(len(units))]
-              for i in range(len(units))]
-    ug = make_group("from_table", table2)
-    chars = character_table(ug)
-    unit_at = [units[perm[i]] for i in range(len(units))]
+    chars = character_table(make_group("from_table", table))
     count = 0
     for chi in chars:
         primitive = True
         for n in range(1, m):
             if m % n:
                 continue
-            kernel_elts = [i for i in range(len(units))
-                           if unit_at[i] % n == 1 % n]
+            kernel_elts = [i for i, u in enumerate(units) if u % n == 1 % n]
             if all(chi.value_at_element(i) == 1 for i in kernel_elts):
                 primitive = False
                 break

@@ -49,6 +49,7 @@ from .groups import (
     FiniteGroup,
     GroupHom,
     Subgroup,
+    _section_quotient,
     canonical_subgroup_rep,
     is_subgroup_members,
     make_group,
@@ -106,9 +107,7 @@ class GoursatData:
     b: Subgroup
     a: Subgroup
     f: GroupHom  # from B/A group to D/C group
-    b_quot: FiniteGroup
     b_proj: GroupHom  # B group -> B/A group
-    d_quot: FiniteGroup
     d_proj: GroupHom  # D group -> D/C group
 
 
@@ -119,20 +118,16 @@ def goursat_data(left: FiniteGroup, right: FiniteGroup,
     c = subgroup(left, t.kern(0), check=False)
     b = subgroup(right, t.proj(1), check=False)
     a = subgroup(right, t.kern(1), check=False)
+    d_proj = _section_quotient(left, d.members, c.members)
+    b_proj = _section_quotient(right, b.members, a.members)
     d_index = {x: i for i, x in enumerate(d.members)}
     b_index = {x: i for i, x in enumerate(b.members)}
-    d_grp, _ = sub_as_group(d)
-    b_grp, _ = sub_as_group(b)
-    d_quot, d_proj = quotient_group(
-        d_grp, subgroup(d_grp, [d_index[x] for x in c.members], check=False))
-    b_quot, b_proj = quotient_group(
-        b_grp, subgroup(b_grp, [b_index[x] for x in a.members], check=False))
     # f(bA) = dC for any (d, b) in L
-    images = [None] * b_quot.order
+    images = [None] * b_proj.codomain.order
     for dd, bb, _ in t.decoded:
         images[b_proj(b_index[bb])] = d_proj(d_index[dd])
-    f = GroupHom(b_quot, d_quot, tuple(images))
-    return GoursatData(d, c, b, a, f, b_quot, b_proj, d_quot, d_proj)
+    f = GroupHom(b_proj.codomain, d_proj.codomain, tuple(images))
+    return GoursatData(d, c, b, a, f, b_proj, d_proj)
 
 
 def _graph_class(left: FiniteGroup, right: FiniteGroup, pairs) -> TripleSubgroup:

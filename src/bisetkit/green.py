@@ -41,11 +41,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .bisets import compose_transitive
 from .characters import (
+    CHARACTER_TABLE_BOUND,
     CharacterVector,
     character_table,
     compose_characters,
@@ -58,6 +59,7 @@ from .dress import TripleSubgroup, dress_compose_members, dress_oracle
 from .errors import (AuditFailed, NotDivisor, OracleInconsistent, OrderBound,
                      PreconditionViolated)
 from .groups import (
+    DEFAULT_ORDER_BOUND,
     FiniteGroup,
     _memo,
     automorphisms,
@@ -89,8 +91,11 @@ class CRCBackend:
         return [make_group("cyclic", 1)] if h.order > 1 else []
 
     def basis_labels(self, h, g) -> list[str]:
-        p = product_group(h, g)
-        return [f"chi{i}" for i in range(len(character_table(p)))]
+        """Irreducibles of H x G; its order is checked before its table is built."""
+        if h.order * g.order > CHARACTER_TABLE_BOUND:
+            raise OrderBound(f"character table beyond bound: |{h.label}x{g.label}| = "
+                             f"{h.order * g.order}")
+        return [f"chi{i}" for i in range(len(character_table(product_group(h, g))))]
 
     def basis_vector(self, h, g, i) -> list:
         p = product_group(h, g)
@@ -172,7 +177,12 @@ class RBCBackend:
         return dress.middle_groups(h, self.c, h.order)
 
     def _index(self, h, g) -> dict[tuple[int, ...], int]:
-        """Class rep -> basis index, memoized per table of the product group."""
+        """Class rep -> basis index, memoized per table of the product group,
+        whose order is bounded before it is built."""
+        order = h.order * g.order * self.c.order
+        if order > DEFAULT_ORDER_BOUND:
+            raise OrderBound(f"|{h.label}x{g.label}x{self.c.label}| = {order} "
+                             f"exceeds bound {DEFAULT_ORDER_BOUND}")
         p = product_group(h, g, self.c)
         return _memo(p, "class_rep_index", lambda: {
             cls.representative.members: i for i, cls in enumerate(subgroup_classes(p))})
@@ -314,9 +324,9 @@ def ideal_span(backend, h: FiniteGroup) -> IdealReport:
     modulo the span, scanned in order: the rows {i: 1} for rb and rbc, the
     dense characters for crc and rq.
     """
+    labels = backend.basis_labels(h, h)  # first: crc checks its bound here
     space = _ideal_rowspace(backend, h)
     ideal_dim = space.rank
-    labels = backend.basis_labels(h, h)
     ambient = len(labels)
     quotient_basis = []
     for i, lab in enumerate(labels):
@@ -333,59 +343,7 @@ def ideal_span(backend, h: FiniteGroup) -> IdealReport:
 # ---------------------------------------------------------------------------
 
 def units_mod(m: int) -> list[int]:
-    return [t for t in range(1, m + 1) if gcd(t, m) == 1] if m > 1 else [1]
-
-
-def _unit_group_structure(m: int) -> list[tuple[int, int]]:
-    """Independent generators of (Z/mZ)^x as (generator, order) pairs via CRT."""
-    if m <= 2:
-        return []
-    factors = []
-    mm = m
-    p = 2
-    while p * p <= mm:
-        if mm % p == 0:
-            k = 0
-            while mm % p == 0:
-                mm //= p
-                k += 1
-            factors.append((p, k))
-        p += 1
-    if mm > 1:
-        factors.append((mm, 1))
-    gens: list[tuple[int, int]] = []
-    for p, k in factors:
-        q = p ** k
-        rest = m // q
-        # component generators of U(p^k), lifted to 1 mod rest by CRT
-        comp_gens: list[tuple[int, int]] = []
-        if p == 2:
-            if k == 2:
-                comp_gens = [(3, 2)]
-            elif k >= 3:
-                comp_gens = [(q - 1, 2), (3, 2 ** (k - 2))]
-        else:
-            phi = q - p ** (k - 1)
-            for g in range(2, q):
-                if gcd(g, p) == 1:
-                    o, x = 1, g % q
-                    while x != 1:
-                        x = x * g % q
-                        o += 1
-                    if o == phi:
-                        comp_gens = [(g, phi)]
-                        break
-        for g, o in comp_gens:
-            # CRT lift: t = g mod q, t = 1 mod rest
-            t = _crt(g, q, 1, rest) if rest > 1 else g % m
-            gens.append((t % m, o))
-    return gens
-
-
-def _crt(a: int, p: int, b: int, q: int) -> int:
-    # x = a mod p, x = b mod q with gcd(p, q) = 1
-    inv = pow(p, -1, q)
-    return (a + p * ((b - a) * inv % q)) % (p * q)
+    return [t for t in range(1, m + 1) if gcd(t, m) == 1]
 
 
 @dataclass(frozen=True)
@@ -408,39 +366,29 @@ class UnitCharacter:
 
 
 def unit_characters(m: int) -> list[UnitCharacter]:
-    """All phi(m) linear characters of the unit group, deterministic order."""
+    """All phi(m) linear characters of the unit group, sorted by their values.
+
+    A character is a hom to Z/e, e the exponent of (Z/mZ)^x, extended one
+    unit at a time from the trivial character on S = {1}: for g not in S and
+    r least with g^r in S, chi extends to <S, g> by each t with r*t = chi(g^r)
+    mod e. Z/e is injective over itself and r divides e, so there are r such t.
+    """
     units = units_mod(m)
-    gens = _unit_group_structure(m)
-    e = 1
-    for _, o in gens:
-        e = e * o // gcd(e, o)
-    if not gens:
-        return [UnitCharacter(m, 1, tuple((u, 0) for u in units))]
-    # discrete logs: every unit is a product of generator powers, exponents found by BFS
-    logs = {1: tuple(0 for _ in gens)}
-    frontier = [1]
-    while frontier:
-        x = frontier.pop()
-        lx = logs[x]
-        for i, (g, o) in enumerate(gens):
-            y = x * g % m
-            if y not in logs:
-                le = list(lx)
-                le[i] = (le[i] + 1) % o
-                logs[y] = tuple(le)
-                frontier.append(y)
-    if len(logs) != len(units):
-        raise AuditFailed(f"unit group of {m}: generators incomplete")
-    out = []
-    for choices in itertools.product(*[range(o) for _, o in gens]):
-        vals = []
-        for u in units:
-            lu = logs[u]
-            k = sum(c * l * (e // o) for c, l, (_, o) in zip(choices, lu, gens)) % e
-            vals.append((u, k))
-        out.append(UnitCharacter(m, e, tuple(sorted(vals))))
-    if len(out) != len(units):
-        raise AuditFailed(f"unit group of {m}: {len(out)} characters, {len(units)} units")
+    e = lcm(*(next(r for r in range(1, m + 1) if pow(u, r, m) == 1 % m) for u in units))
+    reached, chars = [1], [[0]]  # chars[i][j] = chi_i(reached[j])
+    for g in units:
+        where = {u: j for j, u in enumerate(reached)}
+        if g in where:
+            continue
+        r, x = 1, g
+        while x not in where:
+            x, r = x * g % m, r + 1
+        reached = [s * pow(g, i, m) % m for i in range(r) for s in reached]
+        chars = [[(v + i * t) % e for i in range(r) for v in chi]
+                 for chi in chars for t in range(chi[where[x]] // r, e, e // r)]
+    if len(chars) != len(units):
+        raise AuditFailed(f"unit group of {m}: {len(chars)} characters, {len(units)} units")
+    out = [UnitCharacter(m, e, tuple(sorted(zip(reached, chi)))) for chi in chars]
     out.sort(key=lambda ch: tuple(k for _, k in ch.values))
     return out
 

@@ -588,12 +588,12 @@ def _sections(g: FiniteGroup) -> dict[int, list[tuple[tuple, tuple]]]:
     return _memo(g, "_sections", build)
 
 
-def _section_quotient(g: FiniteGroup, s: tuple[int, ...], n: tuple[int, ...]):
-    """S/N as a group, and the coset index of each member of S in order."""
+def _section_quotient(g: FiniteGroup, s: tuple[int, ...], n: tuple[int, ...]) -> GroupHom:
+    """The projection of S, as its own group, onto S/N: its images are the
+    coset indices of the members of S in order."""
     grp, _ = sub_as_group(Subgroup(g, s))
     local = {x: i for i, x in enumerate(s)}
-    q, proj = quotient_group(grp, Subgroup(grp, tuple(sorted(local[x] for x in n))))
-    return q, proj.images
+    return quotient_group(grp, Subgroup(grp, tuple(sorted(local[x] for x in n))))[1]
 
 
 def section_classes(g: FiniteGroup, index: int) -> tuple[list[FiniteGroup], dict]:
@@ -611,7 +611,7 @@ def section_classes(g: FiniteGroup, index: int) -> tuple[list[FiniteGroup], dict
         reps: list[FiniteGroup] = []
         witness: dict = {}
         for s, n in _sections(g).get(index, ()):
-            q = _section_quotient(g, s, n)[0]
+            q = _section_quotient(g, s, n).codomain
             for i, rep in enumerate(reps):
                 phi = is_isomorphic(q, rep)
                 if phi is not None:
@@ -658,7 +658,7 @@ def _goursat_subgroups(a: FiniteGroup, b: FiniteGroup,
         for t, m in pairs_b:
             j, psi = wit_b[t, m]
             blocks: list[list[int]] = [[] for _ in range(index)]
-            for y, c in zip(t, _section_quotient(b, t, m)[1]):
+            for y, c in zip(t, _section_quotient(b, t, m).images):
                 blocks[psi.images[c]].append(y)
             sides_b.setdefault(j, []).append(blocks)
         # A's class -> (isomorphisms onto B's class j as image tuples, j's blocks)
@@ -672,7 +672,7 @@ def _goursat_subgroups(a: FiniteGroup, b: FiniteGroup,
                     if iso is not None:
                         isos[i].append(([iso.then(aut).images
                                          for aut in automorphisms(reps_b[j])[0]], block_lists))
-            cosets = [phi.images[c] for c in _section_quotient(a, s, n)[1]]
+            cosets = [phi.images[c] for c in _section_quotient(a, s, n).images]
             for thetas, block_lists in isos[i]:
                 for theta in thetas:
                     for blocks in block_lists:

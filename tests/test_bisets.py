@@ -1,15 +1,10 @@
-import os
-import subprocess
-import sys
 import textwrap
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import bisetkit
 from bisetkit.bisets import (
     all_transitive_classes,
     biset_class,
@@ -118,7 +113,7 @@ def test_identity_idempotent():
         assert compose_bisets(iden, iden) == iden
 
 
-def test_subgroup_checks_survive_optimize(tmp_path):
+def test_subgroup_checks_survive_optimize(run_optimized):
     # python -O strips assert statements; the subgroup checks must not be ones
     code = textwrap.dedent("""
         from bisetkit.bisets import biset_class
@@ -134,12 +129,7 @@ def test_subgroup_checks_survive_optimize(tmp_path):
                 continue
             raise SystemExit("no NotSubgroup under -O")
     """)
-    src = str(Path(bisetkit.__file__).resolve().parents[1])
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONOPTIMIZE"}
-    env["PYTHONPATH"] = src
-    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, cwd=tmp_path,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
+    run_optimized(code)
 
 
 def test_middle_mismatch():
@@ -275,7 +265,7 @@ def test_bouc_word_matches_public_elementary_bisets():
                     assert w.members == e.members
 
 
-def test_elementary_biset_checks_survive_optimize(tmp_path):
+def test_elementary_biset_checks_survive_optimize(run_optimized):
     # python -O strips assert statements; the precondition checks must not be ones
     code = textwrap.dedent("""
         from bisetkit.bisets import elementary_biset
@@ -296,12 +286,7 @@ def test_elementary_biset_checks_survive_optimize(tmp_path):
                 continue
             raise SystemExit("no PreconditionViolated under -O")
     """)
-    src = str(Path(bisetkit.__file__).resolve().parents[1])
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONOPTIMIZE"}
-    env["PYTHONPATH"] = src
-    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, cwd=tmp_path,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
+    run_optimized(code)
 
 
 def test_recompose_rejects_empty_and_mismatch():

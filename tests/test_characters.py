@@ -1,17 +1,12 @@
 import hashlib
 import json
-import os
-import subprocess
-import sys
 import textwrap
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import bisetkit
 from bisetkit.bisets import (
     all_transitive_classes,
     compose_bisets,
@@ -258,7 +253,7 @@ def test_character_table_catalog_invariants():
         assert len(tab) == len(conjugacy_classes(g))
 
 
-def test_character_table_checks_survive_optimize(tmp_path):
+def test_character_table_checks_survive_optimize(run_optimized):
     # python -O strips assert statements; the exit checks must not be ones.
     # With every induced character zero, the peel finds only the two linear
     # characters of a fresh copy of S3, one short of its three classes.
@@ -274,15 +269,10 @@ def test_character_table_checks_survive_optimize(tmp_path):
             raise SystemExit(0)
         raise SystemExit("no CharacterTableError under -O")
     """)
-    src = str(Path(bisetkit.__file__).resolve().parents[1])
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONOPTIMIZE"}
-    env["PYTHONPATH"] = src
-    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, cwd=tmp_path,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
+    run_optimized(code)
 
 
-def test_character_table_integrality_survives_optimize(tmp_path):
+def test_character_table_integrality_survives_optimize(run_optimized):
     # orthogonality is checked in int numerators, so a value with a
     # denominator is not an algebraic integer and fails, under -O too; a
     # fresh copy of C3 has three linear characters and no induction
@@ -301,15 +291,10 @@ def test_character_table_integrality_survives_optimize(tmp_path):
             raise SystemExit(0 if "algebraic integer" in str(err) else str(err))
         raise SystemExit("no CharacterTableError under -O")
     """)
-    src = str(Path(bisetkit.__file__).resolve().parents[1])
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONOPTIMIZE"}
-    env["PYTHONPATH"] = src
-    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, cwd=tmp_path,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
+    run_optimized(code)
 
 
-def test_character_checks_survive_optimize(tmp_path):
+def test_character_checks_survive_optimize(run_optimized):
     # each precondition of the class-function arithmetic raises a typed error
     # under python -O, where an assert would be stripped
     code = textwrap.dedent("""
@@ -336,12 +321,7 @@ def test_character_checks_survive_optimize(tmp_path):
                 continue
             raise SystemExit(f"case {i}: no {err.__name__} under -O")
     """)
-    src = str(Path(bisetkit.__file__).resolve().parents[1])
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONOPTIMIZE"}
-    env["PYTHONPATH"] = src
-    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, cwd=tmp_path,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
+    run_optimized(code)
 
 
 # sha256 of the sort_key coordinates of every catalog group's character table,

@@ -112,6 +112,15 @@ def test_seeds_table(capsys):
     assert counts[5] == 3 and counts[11] == 9
 
 
+def test_seeds_json_bytes_pinned(capsys):
+    # frozen from the generator-and-discrete-log construction of the unit
+    # characters that the extension loop replaced
+    code, out, _ = run(capsys, "--json", "seeds", "--max-m", "64")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "3185fde44590752a2c3ca7a0f0050c17a7b940f3e8feb03d3ca41ce1f303102a"
+
+
 def test_group_info_json(capsys):
     code, out, _ = run(capsys, "--json", "group", "info", "Q8")
     assert code == 0

@@ -1,16 +1,11 @@
-import os
-import subprocess
-import sys
 import textwrap
 from fractions import Fraction
 from math import gcd, lcm
-from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-import bisetkit
 from bisetkit.cyclotomic import Cyc, cyclotomic_polynomial, sort_key
 
 
@@ -237,7 +232,7 @@ def test_cyc_matches_schoolbook_polynomials(a, b):
     assert x * inv == 1 and type(x * inv) is Fraction
 
 
-def test_cyclotomic_checks_survive_optimize(tmp_path):
+def test_cyclotomic_checks_survive_optimize(run_optimized):
     # the preconditions of promote, sort_key and cyclotomic_polynomial raise
     # typed errors under python -O, where an assert would be stripped
     code = textwrap.dedent("""
@@ -254,9 +249,4 @@ def test_cyclotomic_checks_survive_optimize(tmp_path):
                 continue
             raise SystemExit(f"case {i}: no PreconditionViolated under -O")
     """)
-    src = str(Path(bisetkit.__file__).resolve().parents[1])
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONOPTIMIZE"}
-    env["PYTHONPATH"] = src
-    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, cwd=tmp_path,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
+    run_optimized(code)

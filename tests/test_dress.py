@@ -1,13 +1,8 @@
-import os
-import subprocess
-import sys
 import textwrap
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
-import bisetkit
 from bisetkit.catalog import groups_of_order
 from bisetkit.cli import resolve_group
 from bisetkit.dress import (
@@ -377,7 +372,7 @@ def test_no_bridge_c4_v4():
         assert not rep["isomorphic"]
 
 
-def test_counterexample_audit_survives_optimize(tmp_path):
+def test_counterexample_audit_survives_optimize(run_optimized):
     # python -O strips assert statements; the audit steps must not be ones.
     # With every subgroup "normal", an order-4 candidate kernel turns normal
     # in D, which the audit rules out.
@@ -391,12 +386,7 @@ def test_counterexample_audit_survives_optimize(tmp_path):
             raise SystemExit(0)
         raise SystemExit("no AuditFailed under -O")
     """)
-    src = str(Path(bisetkit.__file__).resolve().parents[1])
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONOPTIMIZE"}
-    env["PYTHONPATH"] = src
-    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, cwd=tmp_path,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
+    run_optimized(code)
 
 
 def test_no_bridge_contrast_finds_counterexample_d():

@@ -1,14 +1,10 @@
-import os
-import subprocess
-import sys
+import hashlib
 import textwrap
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
-import bisetkit
-from bisetkit import dress
+from bisetkit import dress, green
 from bisetkit.acceptance import AllFactorPairs, OracleRB
 from bisetkit.bisets import compose_bisets
 from bisetkit.catalog import CATALOG_MAX_ORDER, group_by_name, groups_of_order, groups_up_to
@@ -58,6 +54,31 @@ def test_unit_characters_multiplicative():
                     lhs = ch.value_exponent(a * b % m)
                     rhs = (ch.value_exponent(a) + ch.value_exponent(b)) % ch.exponent
                     assert lhs == rhs
+
+
+def test_unit_characters_pinned():
+    # frozen from the generator-and-discrete-log construction the extension
+    # loop replaced: every character's exponent and values, in order
+    chars = [[c.exponent, c.values] for m in range(1, 101) for c in unit_characters(m)]
+    assert hashlib.sha256(repr(chars).encode()).hexdigest() == \
+        "b85cb406280b41147b54b76f7256136af7526793dfc2ef15e913b2a326816058"
+
+
+def test_unit_character_count_check_survives_optimize(run_optimized):
+    # a unit listed twice is reached once, so one character too few comes out
+    code = textwrap.dedent("""
+        import bisetkit.green as green
+        from bisetkit.errors import AuditFailed
+
+        real = green.units_mod
+        green.units_mod = lambda m: real(m) + real(m)[-1:]
+        try:
+            green.unit_characters(8)
+        except AuditFailed:
+            raise SystemExit(0)
+        raise SystemExit("no AuditFailed under -O")
+    """)
+    run_optimized(code)
 
 
 def test_kernel_of_reduction():
@@ -437,6 +458,21 @@ def test_crc_product_span_examples():
         crc_product_span(make_group("cyclic", 17), make_group("cyclic", 16))
 
 
+@pytest.mark.parametrize("backend, n, message", [
+    ("rb", 32, r"^\|C32xC32xC1\| = 1024 exceeds bound 256$"),
+    ("rbc", 16, r"^\|C16xC16xC2\| = 512 exceeds bound 256$"),
+    ("crc", 16, r"^character table beyond bound: \|C16xC16\| = 256$"),
+])
+def test_ideal_span_bounds_the_square_before_building_it(monkeypatch, backend, n, message):
+    # the order of H x H (x C) is checked from the factor orders, so
+    # product_group is never asked for a table beyond the bound
+    calls = []
+    monkeypatch.setattr(green, "product_group", lambda *factors: calls.append(factors))
+    with pytest.raises(OrderBound, match=message):
+        ideal_span(get_backend(backend, make_group("cyclic", 2)), make_group("cyclic", n))
+    assert calls == []
+
+
 def _product_row_rank(g, k):
     """Rank of every product row chi x psi over the classes of G x K, by
     eliminating the whole |Irr G| |Irr K| by k(G x K) matrix."""
@@ -528,17 +564,7 @@ def test_get_backend_dispatch():
         get_backend("nope")
 
 
-def _run_optimized(code, cwd):
-    """Run ``code`` under python -O; it must exit 0."""
-    src = str(Path(bisetkit.__file__).resolve().parents[1])
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONOPTIMIZE"}
-    env["PYTHONPATH"] = src
-    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, cwd=cwd,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-
-
-def test_rbc_backend_without_c_survives_optimize(tmp_path):
+def test_rbc_backend_without_c_survives_optimize(run_optimized):
     # python -O strips assert statements; the missing-C check must not be one
     code = textwrap.dedent("""
         from bisetkit.errors import BisetkitError
@@ -549,10 +575,10 @@ def test_rbc_backend_without_c_survives_optimize(tmp_path):
             raise SystemExit(0)
         raise SystemExit("no BisetkitError under -O")
     """)
-    _run_optimized(code, tmp_path)
+    run_optimized(code)
 
 
-def test_crc_class_check_survives_optimize(tmp_path):
+def test_crc_class_check_survives_optimize(run_optimized):
     # a product whose class list merges two classes has fewer classes than
     # pairs of factor classes; the product rows would still have full rank
     # over the merged columns, so only the class check can catch it
@@ -576,10 +602,10 @@ def test_crc_class_check_survives_optimize(tmp_path):
             raise SystemExit(0)
         raise SystemExit("no AuditFailed under -O")
     """)
-    _run_optimized(code, tmp_path)
+    run_optimized(code)
 
 
-def test_ideal_checks_survive_optimize(tmp_path):
+def test_ideal_checks_survive_optimize(run_optimized):
     # the row width check, the per-K cross-check of the sparse rows and the
     # ambient check of ideal_span all raise typed errors under python -O; the
     # cross-check takes rb's product from the orbit oracle, so a Mackey rule
@@ -619,4 +645,4 @@ def test_ideal_checks_survive_optimize(tmp_path):
                 continue
             raise SystemExit(f"no {exc.__name__} under -O")
     """)
-    _run_optimized(code, tmp_path)
+    run_optimized(code)

@@ -646,7 +646,7 @@ def test_section_classes_partition_the_section_quotients(name):
         assert all(is_isomorphic(a, b) is None for i, a in enumerate(reps) for b in reps[:i])
         assert set(witness) == set(pairs)
         for s, n in pairs:
-            q = _section_quotient(g, s, n)[0]
+            q = _section_quotient(g, s, n).codomain
             assert [i for i, r in enumerate(reps) if is_isomorphic(q, r)] == [witness[s, n][0]]
             phi = witness[s, n][1]
             assert phi.domain is q and phi.codomain is reps[witness[s, n][0]]
@@ -775,7 +775,7 @@ def test_no_assert_in_src():
     assert asserts == []
 
 
-def test_group_checks_survive_optimize(tmp_path):
+def test_group_checks_survive_optimize(run_optimized):
     # each precondition reachable through the public API raises a typed error
     # under python -O, where an assert would be stripped
     code = textwrap.dedent("""
@@ -800,9 +800,4 @@ def test_group_checks_survive_optimize(tmp_path):
                 continue
             raise SystemExit(f"case {i}: no {err.__name__} under -O")
     """)
-    src = str(Path(bisetkit.__file__).resolve().parents[1])
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONOPTIMIZE"}
-    env["PYTHONPATH"] = src
-    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, cwd=tmp_path,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
+    run_optimized(code)

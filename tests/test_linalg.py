@@ -1,15 +1,10 @@
-import os
-import subprocess
-import sys
 import textwrap
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import bisetkit
 from bisetkit.cyclotomic import Cyc
 from bisetkit.errors import PreconditionViolated
 from bisetkit.linalg import RowSpace
@@ -96,7 +91,7 @@ def test_cyclotomic_leads_are_inverted_exactly():
     assert not space.contains([1, 1])
 
 
-def test_row_checks_survive_optimize(tmp_path):
+def test_row_checks_survive_optimize(run_optimized):
     code = textwrap.dedent("""
         from bisetkit.errors import PreconditionViolated
         from bisetkit.linalg import RowSpace
@@ -108,9 +103,4 @@ def test_row_checks_survive_optimize(tmp_path):
                 continue
             raise SystemExit(f"{row} accepted under -O")
     """)
-    src = str(Path(bisetkit.__file__).resolve().parents[1])
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONOPTIMIZE"}
-    env["PYTHONPATH"] = src
-    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, cwd=tmp_path,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
+    run_optimized(code)

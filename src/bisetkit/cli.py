@@ -410,86 +410,86 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-\d[\d,;]*$")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="bisetkit",
-        description="Double Burnside ring and Green biset functor computations")
-    parser.add_argument("--json", action="store_true",
-                        help="machine-readable output")
-    parser.add_argument("--cache-dir", default=None,
-                        help="subgroup lattice cache directory "
-                             "(default: ./.bisetkit-cache)")
-    parser.add_argument("--order-bound", type=_positive_int, default=DEFAULT_ORDER_BOUND,
-                        help="largest order of a group named on the command line")
-    sub = parser.add_subparsers(dest="command", required=True)
+# subcommand -> (help, handler, {flag: add_argument keywords}), in usage-line order
+_COMMANDS = {
+    "group": ("inspect a single group", cmd_group,
+              {"what": {"choices": ["info", "subgroups", "auts"]}, "name": {}}),
+    "compose": ("compose two biset elements from JSON files", cmd_compose,
+                {"--left": {"required": True, "help": "JSON file, element of RB(H,G)"},
+                 "--mid": {"required": True, "help": "middle group name"},
+                 "--right": {"required": True, "help": "JSON file, element of RB(G,K)"}}),
+    "bouc": ("Bouc decomposition of a transitive biset", cmd_bouc,
+             {"left": {}, "right": {},
+              "subgroup": {"help": "generators 'h,g;h,g;...' as component pairs"}}),
+    "ahat": ("quotient algebra dimensions", cmd_ahat,
+             {"--backend": {"required": True, "choices": ["rb", "rq", "crc", "rbc"]},
+              "--group": {"required": True}, "--c": {"help": "shift group for the rbc backend"}}),
+    "lin-kernel": ("kernel of linearization on B(G)", cmd_lin_kernel, {"name": {}}),
+    "seeds": ("primitive-character seed counts", cmd_seeds,
+              {"--max-m": {"type": _positive_int, "required": True}}),
+    "crc-check": ("complex product span rank check", cmd_crc_check, {"g": {}, "k": {}}),
+    "dress-compose": ("compose two transitive shifted classes", cmd_dress_compose,
+                      {"g": {}, "l": {}, "k": {}, "c": {},
+                       "--e": {"required": True,
+                               "help": "generators of E <= GxLxC: 'g,l,c;g,l,c;...'"},
+                       "--d": {"required": True,
+                               "help": "generators of D <= LxKxC: 'l,k,c;...'"}}),
+    "no-bridge": ("scan for bridging subgroups", cmd_no_bridge, {"g": {}, "h": {}, "c": {}}),
+    "counterexample": ("run the Q8/D8/C4 construction", cmd_counterexample, {}),
+    "accept": ("run the acceptance suite", cmd_accept, {"--only": {
+        "type": _criterion_numbers, "help": "comma-separated criterion numbers"}}),
+}
 
-    p = sub.add_parser("group", help="inspect a single group")
-    p.add_argument("what", choices=["info", "subgroups", "auts"])
-    p.add_argument("name")
-    p.set_defaults(fn=cmd_group)
+# the main parser's options, whose first letters after "--" differ (and from --help's)
+_GLOBAL_OPTIONS = {
+    "--json": {"action": "store_true", "help": "machine-readable output"},
+    "--cache-dir": {"help": "subgroup lattice cache directory (default: ./.bisetkit-cache)"},
+    "--order-bound": {"type": _positive_int, "default": DEFAULT_ORDER_BOUND,
+                      "help": "largest order of a group named on the command line"},
+}
 
-    p = sub.add_parser("compose", help="compose two biset elements from JSON files")
-    p.add_argument("--left", required=True, help="JSON file, element of RB(H,G)")
-    p.add_argument("--mid", required=True, help="middle group name")
-    p.add_argument("--right", required=True, help="JSON file, element of RB(G,K)")
-    p.set_defaults(fn=cmd_compose)
 
-    p = sub.add_parser("bouc", help="Bouc decomposition of a transitive biset")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.add_argument("subgroup", help="generators 'h,g;h,g;...' as component pairs")
-    p.set_defaults(fn=cmd_bouc)
+def _command_in(argv) -> str | None:
+    """The subcommand argparse reads off argv, or None where that is not
+    certain: help, '--', no or an unknown command, or before the command
+    anything but global options, abbreviated or not, each with its value after
+    '=' or as the next argument, which must not start with '-'."""
+    args = iter([] if "--" in argv else argv)
+    for arg in args:
+        if not arg.startswith("-"):
+            return arg if arg in _COMMANDS else None
+        flag, eq, _ = arg.partition("=")
+        found = [f for f in _GLOBAL_OPTIONS if f.startswith(flag)]
+        if len(found) != 1:
+            return None
+        takes_value = "action" not in _GLOBAL_OPTIONS[found[0]]  # all but --json
+        if eq and not takes_value or takes_value and not eq and next(args, "-").startswith("-"):
+            return None
+    return None
 
-    p = sub.add_parser("ahat", help="quotient algebra dimensions")
-    p.add_argument("--backend", required=True, choices=["rb", "rq", "crc", "rbc"])
-    p.add_argument("--group", required=True)
-    p.add_argument("--c", default=None, help="shift group for the rbc backend")
-    p.set_defaults(fn=cmd_ahat)
 
-    p = sub.add_parser("lin-kernel", help="kernel of linearization on B(G)")
-    p.add_argument("name")
-    p.set_defaults(fn=cmd_lin_kernel)
-
-    p = sub.add_parser("seeds", help="primitive-character seed counts")
-    p.add_argument("--max-m", type=_positive_int, required=True)
-    p.set_defaults(fn=cmd_seeds)
-
-    p = sub.add_parser("crc-check", help="complex product span rank check")
-    p.add_argument("g")
-    p.add_argument("k")
-    p.set_defaults(fn=cmd_crc_check)
-
-    p = sub.add_parser("dress-compose", help="compose two transitive shifted classes")
-    p.add_argument("g")
-    p.add_argument("l")
-    p.add_argument("k")
-    p.add_argument("c")
-    p.add_argument("--e", required=True,
-                   help="generators of E <= GxLxC: 'g,l,c;g,l,c;...'")
-    p.add_argument("--d", required=True,
-                   help="generators of D <= LxKxC: 'l,k,c;...'")
-    p.set_defaults(fn=cmd_dress_compose)
-
-    p = sub.add_parser("no-bridge", help="scan for bridging subgroups")
-    p.add_argument("g")
-    p.add_argument("h")
-    p.add_argument("c")
-    p.set_defaults(fn=cmd_no_bridge)
-
-    p = sub.add_parser("counterexample", help="run the Q8/D8/C4 construction")
-    p.set_defaults(fn=cmd_counterexample)
-
-    p = sub.add_parser("accept", help="run the acceptance suite")
-    p.add_argument("--only", type=_criterion_numbers, default=None,
-                   help="comma-separated criterion numbers")
-    p.set_defaults(fn=cmd_accept)
-
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The main parser with every subcommand, or with ``command``'s alone and a
+    metavar naming them all, so usage lines match; the full parser keeps
+    argparse's own name for that argument, which its errors show."""
+    parser = _Parser(prog="bisetkit",
+                     description="Double Burnside ring and Green biset functor computations")
+    for flag, options in _GLOBAL_OPTIONS.items():
+        parser.add_argument(flag, **options)
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (summary, fn, arguments) in _COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=summary)
+            for flag, options in arguments.items():
+                p.add_argument(flag, **options)
+            p.set_defaults(fn=fn)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(_command_in(argv)).parse_args(argv)
     if args.cache_dir is not None:
         _cache.set_cache_dir(args.cache_dir)
     try:

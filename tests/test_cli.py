@@ -1,12 +1,18 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bisetkit
+from bisetkit import cli
 from bisetkit.cli import main, resolve_group
 from bisetkit.errors import BisetkitError
 
@@ -618,3 +624,130 @@ def test_bouc_lone_index_in_range(capsys):
     code, out, _ = run(capsys, "--json", "bouc", "S3", "C2", "11")
     assert code == 0
     assert json.loads(out) == json.loads(run(capsys, "--json", "bouc", "S3", "C2", "5,1")[1])
+
+
+# sha256 of the stdout of `bisetkit --help` and `bisetkit COMMAND --help` with
+# COLUMNS=80, frozen on Python 3.11 from the parser that built every subcommand
+_HELP_SHA256 = {
+    None: "8a4d0be01132d49fe21e2807baee99ffc13239933daf3c6ef656a93ae83cd8dd",
+    "group": "4797b7adefdcad71ffa06b6463440c0e0076e7c284555330a53196a468f5c7ba",
+    "compose": "a8776ddc4d20f87229c0e110cf76e1ae2b7f7f769852beb549df65854eb0c09e",
+    "bouc": "dbc2c5487b8f74f21038104db23851d784f27b5b69fdd8a5e801fcb2e8e7c5f3",
+    "ahat": "2e04d7bd3861b9a0a072ee3cd07a05bd21004cb0152a559176531b81dfba87cf",
+    "lin-kernel": "92ba39f2b126795926919c4000baa3e683cadeec6b42bb543362aedc4c6c04e0",
+    "seeds": "45f4cfea8dfe55ed2ac0aa88c8266f28fa5dbe551119304a2873824afe55ae6e",
+    "crc-check": "d1a694470ae4375e6157f61ced8c736e7662f2f67545cf8c24e6e89275bde903",
+    "dress-compose": "6b66b153ace446a38ed1a9724bf8917488165b23c9eaee3958d0870298a58166",
+    "no-bridge": "c54abde8cd6a404fb605f9557be1e2c4ce21383baef2ee38193060c7998a5e19",
+    "counterexample": "47a07c1fa05945066357f7d1ab403b98b32b9e13e542acf2ef01ba455e3edf0b",
+    "accept": "9013a5f372da2916c3768ef0ecd170d7aae886447c131dd56a154a5658284189",
+}
+
+
+# argparse's help layout changes between Python versions (its "options" heading
+# was "optional arguments" before 3.10), so the pins hold on 3.11 only
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="help text pinned on Python 3.11")
+@pytest.mark.parametrize("command", list(_HELP_SHA256), ids=[c or "main" for c in _HELP_SHA256])
+def test_help_text_pinned(monkeypatch, capsys, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"] if command else ["--help"])
+    out = capsys.readouterr().out
+    assert exc.value.code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _HELP_SHA256[command], out
+
+
+# argv, and the subcommand main reads off it to build that subparser alone
+# (None: the full parser)
+PARSER_CASES = [
+    (("group", "info", "C2"), "group"),
+    (("compose", "--left", "x.json", "--mid", "C2", "--right", "y.json"), "compose"),
+    (("bouc", "S3", "C2", "1,0;0,1"), "bouc"),
+    (("--json", "ahat", "--backend", "rb", "--group", "C3"), "ahat"),
+    (("lin-kernel", "S3"), "lin-kernel"),
+    (("seeds", "--max-m", "6"), "seeds"),
+    (("crc-check", "C2", "C3"), "crc-check"),
+    (("dress-compose", "C2", "C2", "C2", "C2", "--e", "0,0,0", "--d", "0,0,0"), "dress-compose"),
+    (("no-bridge", "C2", "C2", "C2"), "no-bridge"),
+    (("counterexample",), "counterexample"),
+    (("accept", "--only", "9,10"), "accept"),
+    (("--order-bound", "0", "group", "info", "C2"), "group"),
+    (("--cache", "ahat", "--json", "group", "info", "C2"), "group"),
+    (("--cache-dir=ahat", "group", "info", "C2"), "group"),
+    (("--cache-dir", "ahat", "group", "info", "C2"), "group"),
+    (("--order", "8", "--c=x", "--j", "seeds", "--max-m", "3"), "seeds"),
+    (("--json=1", "group", "info", "C2"), None),
+    (("--cache-dir", "--json", "group", "info", "C2"), None),
+    (("group", "info", "C2", "--json"), "group"),
+    (("group", "info", "--", "C2"), None),
+    (("not-a-command",), None),
+    ((), None),
+    (("--json",), None),
+    (("-h",), None),
+    (("--he",), None),
+    (("group", "-h"), "group"),
+    (("ahat", "--help"), "ahat"),
+]
+
+
+class _Parsed(Exception):
+    """Carries the namespace of a parse out of main, before any handler runs."""
+
+
+def _parse_outcome(monkeypatch, argv, full):
+    """main's namespace, or its SystemExit code, with its stdout and stderr;
+    ``full`` makes main build every subparser."""
+    parse_args = cli._Parser.parse_args
+
+    def stop_after_parse(self, args=None, namespace=None):
+        raise _Parsed(parse_args(self, args, namespace))
+    monkeypatch.setattr(cli._Parser, "parse_args", stop_after_parse)
+    if full:
+        monkeypatch.setattr(cli, "_command_in", lambda argv: None)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            main(list(argv))
+        except _Parsed as parsed:
+            result = vars(parsed.args[0])
+        except SystemExit as exc:
+            result = exc.code
+    monkeypatch.undo()
+    return result, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv, command", PARSER_CASES,
+                         ids=[" ".join(argv) or "no-arguments" for argv, _ in PARSER_CASES])
+def test_one_subparser_parses_as_all(monkeypatch, argv, command):
+    assert cli._command_in(argv) == command
+    lazy = _parse_outcome(monkeypatch, argv, full=False)
+    assert lazy == _parse_outcome(monkeypatch, argv, full=True)
+    assert isinstance(lazy[0], dict) or lazy[0] in (0, 2)
+
+
+def test_parsers_built(monkeypatch, capsys):
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs["prog"])
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    assert main(["--json", "ahat", "--backend", "rb", "--group", "C3"]) == 0
+    assert built == ["bisetkit", "bisetkit ahat"]
+    built.clear()
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert built == ["bisetkit"] + [f"bisetkit {name}" for name in cli._COMMANDS]
+    assert len(built) == 12
+
+
+def test_module_entry_reads_sys_argv(tmp_path, capsys):
+    argv = ["--json", "ahat", "--backend", "rb", "--group", "C3"]
+    env = {**os.environ, "PYTHONPATH": str(Path(bisetkit.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "bisetkit.cli", *argv], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    code, out, _ = run(capsys, *argv)
+    assert (proc.returncode, proc.stderr) == (code, "") == (0, "")
+    assert proc.stdout == out
